@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmenabilityError
+from .errors import AmenabilityError, DomainError
 from .folner import (
     function_report,
     layer_cake,
@@ -384,14 +384,15 @@ ALL_CRITERIA = (
 
 def run_all(only=None) -> list:
     """Run the acceptance suite; ``only`` filters by criterion number."""
-    chosen = set(only) if only else None
-    results = []
-    for fn in ALL_CRITERIA:
-        number = int(fn.__name__.split("_")[1])
-        if chosen is not None and number not in chosen:
-            continue
-        results.append(fn())
-    return results
+    numbered = [(int(fn.__name__.split("_")[1]), fn) for fn in ALL_CRITERIA]
+    if only:
+        unknown = sorted(set(only) - {k for k, _ in numbered})
+        if unknown:
+            raise DomainError(
+                f"no acceptance criterion numbered {', '.join(map(str, unknown))}; "
+                f"the criteria are 1..{len(numbered)}"
+            )
+    return [fn() for k, fn in numbered if not only or k in only]
 
 
 def format_result(res: CriterionResult) -> str:

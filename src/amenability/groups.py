@@ -140,12 +140,14 @@ def _lamp_valid(x) -> bool:
         lamps, pos = x
     except (TypeError, ValueError):
         return False
-    return (
-        isinstance(pos, int)
-        and isinstance(lamps, tuple)
-        and all(isinstance(v, int) for v in lamps)
-        and list(lamps) == sorted(set(lamps))
-    )
+    if not isinstance(pos, int) or not isinstance(lamps, tuple):
+        return False
+    prev = None
+    for v in lamps:
+        if not isinstance(v, int) or (prev is not None and v <= prev):
+            return False
+        prev = v
+    return True
 
 
 def lamplighter() -> GroupAction:

@@ -133,26 +133,41 @@ def _rref_mod_p(a: np.ndarray, p: int):
     """In-place RREF over GF(p); returns (trimmed matrix, rank, pivots)."""
     m, n = a.shape
     r = 0
+    c = 0
     pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
+    while r < m and c < n:
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
-            continue
+            # Skip a run of zero columns: look ahead in windows of doubling
+            # width, so each column is scanned once per pivot search.  A
+            # scan of all of a[r:, c:] per pivot would cost O(rank m n).
+            c += 1
+            w = 1
+            while c < n:
+                hit = a[r:, c : c + w].any(axis=0).nonzero()[0]
+                if hit.size:
+                    c += int(hit[0])
+                    break
+                c += w
+                w *= 2
+            else:
+                break
+            nz = a[r:, c].nonzero()[0]
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+        # Rows r.. are zero left of column c, so only columns c.. change.
         inv = pow(int(a[r, c]), p - 2, p)
         if inv != 1:
-            a[r] = (a[r] * inv) % p
+            a[r, c:] = (a[r, c:] * inv) % p
         f = a[:, c].copy()
         f[r] = 0
-        hit = np.nonzero(f)[0]
+        hit = f.nonzero()[0]
         if hit.size:
-            a[hit] = (a[hit] - np.outer(f[hit], a[r])) % p
+            a[hit, c:] = (a[hit, c:] - np.outer(f[hit], a[r, c:])) % p
         pivots.append(c)
         r += 1
+        c += 1
     return a[:r], r, tuple(pivots)
 
 
@@ -174,14 +189,20 @@ def _rref_rational(rows: Sequence[Sequence[Fraction]]):
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = Fraction(1) / a[r][c]
-        if inv != 1:
-            a[r] = [x * inv for x in a[r]]
         row_r = a[r]
+        # Rows r.. are zero left of column c; elimination touches only the
+        # pivot row's support.
+        support = [j for j in range(c, n) if row_r[j] != 0]
+        inv = Fraction(1) / row_r[c]
+        if inv != 1:
+            for j in support:
+                row_r[j] *= inv
         for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], row_r)]
+            row = a[i]
+            f = row[c]
+            if i != r and f != 0:
+                for j in support:
+                    row[j] -= f * row_r[j]
         pivots.append(c)
         r += 1
     reduced = tuple(tuple(row) for row in a[:r])
@@ -300,10 +321,17 @@ def subspace_from_rows(rows, labels: Sequence[Label], field: FieldSpec) -> Label
     the rows are row-reduced, and zero rows are dropped.
     """
     labels = list(labels)
-    if len(set(labels)) != len(labels):
+    try:
+        distinct = len(set(labels))
+    except TypeError as exc:
+        raise ShapeError(f"labels must be hashable: {exc}") from exc
+    if distinct != len(labels):
         raise ShapeError("labels must be pairwise distinct")
     n = len(labels)
-    order = sorted(range(n), key=labels.__getitem__)
+    try:
+        order = sorted(range(n), key=labels.__getitem__)
+    except TypeError as exc:
+        raise ShapeError("labels must be mutually comparable") from exc
     sorted_labels = tuple(labels[j] for j in order)
     identity = order == list(range(n))
 
@@ -334,22 +362,59 @@ def zero_subspace(labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
     return subspace_from_rows([], labels, field)
 
 
-def _pad_rows(space: LabeledSubspace, union: Sequence[Label]):
-    """The basis of ``space`` rewritten over the larger label list ``union``.
+def _merge_labels(a: tuple, b: tuple):
+    """Sorted union of two sorted label tuples, in one linear pass.
+
+    Returns ``(union, pos_a, pos_b)``: ``pos_a[j]`` is the column of
+    ``a[j]`` in the union, likewise for ``b``.
+    """
+    union = []
+    pos_a = []
+    pos_b = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    try:
+        while i < na and j < nb:
+            x, y = a[i], b[j]
+            if x < y:
+                pos_a.append(len(union))
+                union.append(x)
+                i += 1
+            elif y < x:
+                pos_b.append(len(union))
+                union.append(y)
+                j += 1
+            else:
+                pos_a.append(len(union))
+                pos_b.append(len(union))
+                union.append(x)
+                i += 1
+                j += 1
+    except TypeError as exc:
+        raise ShapeError("labels must be mutually comparable") from exc
+    for x in a[i:]:
+        pos_a.append(len(union))
+        union.append(x)
+    for y in b[j:]:
+        pos_b.append(len(union))
+        union.append(y)
+    return tuple(union), pos_a, pos_b
+
+
+def _pad_rows(space: LabeledSubspace, cols: Sequence[int], width: int):
+    """The basis of ``space`` with column j moved to ``cols[j]`` of ``width``.
 
     Order-preserving padding with zero columns keeps RREF intact.
     """
-    idx = {lbl: j for j, lbl in enumerate(union)}
-    cols = [idx[lbl] for lbl in space.labels]
     if not space.field.is_rational:
-        big = np.zeros((space.dim, len(union)), dtype=np.int64)
+        big = np.zeros((space.dim, width), dtype=np.int64)
         if space.dim:
             big[:, cols] = space.basis
         return big
     zero = Fraction(0)
     out = []
     for row in space.basis:
-        big_row = [zero] * len(union)
+        big_row = [zero] * width
         for c, x in zip(cols, row):
             big_row[c] = x
         out.append(big_row)
@@ -362,17 +427,17 @@ def align_pair(E: LabeledSubspace, F: LabeledSubspace):
         raise FieldMismatchError(f"cannot combine {E.field} with {F.field}")
     if E.labels == F.labels:
         return E, F
-    union = tuple(sorted(set(E.labels) | set(F.labels)))
+    union, pos_e, pos_f = _merge_labels(E.labels, F.labels)
 
-    def rebuild(sp):
-        if sp.labels == union:
+    def rebuild(sp, cols):
+        if len(sp.labels) == len(union):
             return sp
-        padded = _pad_rows(sp, union)
+        padded = _pad_rows(sp, cols, len(union))
         if not sp.field.is_rational:
             return LabeledSubspace(sp.field, union, _freeze(padded))
         return LabeledSubspace(sp.field, union, tuple(tuple(r) for r in padded))
 
-    return rebuild(E), rebuild(F)
+    return rebuild(E, pos_e), rebuild(F, pos_f)
 
 
 def subspace_sum(E: LabeledSubspace, F: LabeledSubspace) -> LabeledSubspace:
@@ -382,20 +447,17 @@ def subspace_sum(E: LabeledSubspace, F: LabeledSubspace) -> LabeledSubspace:
     field = E.field
     if E.labels == F.labels:
         union = E.labels
-        if field.is_rational:
-            stacked = list(E.basis) + list(F.basis)
-        else:
-            stacked = np.concatenate([E.basis, F.basis], axis=0)
+        pos_e = pos_f = range(len(union))
     else:
-        union = tuple(sorted(set(E.labels) | set(F.labels)))
-        if field.is_rational:
-            stacked = _pad_rows(E, union) + _pad_rows(F, union)
-        else:
-            stacked = np.concatenate([_pad_rows(E, union), _pad_rows(F, union)], axis=0)
+        union, pos_e, pos_f = _merge_labels(E.labels, F.labels)
     if field.is_rational:
-        reduced, _, _ = _rref_rational([list(r) for r in stacked])
+        stacked = _pad_rows(E, pos_e, len(union)) + _pad_rows(F, pos_f, len(union))
+        reduced, _, _ = _rref_rational(stacked)
     else:
-        reduced, _, _ = _rref_mod_p(stacked.copy(), field.characteristic)
+        stacked = np.zeros((E.dim + F.dim, len(union)), dtype=np.int64)
+        stacked[: E.dim, pos_e] = E.basis
+        stacked[E.dim :, pos_f] = F.basis
+        reduced, _, _ = _rref_mod_p(stacked, field.characteristic)
         reduced = _freeze(np.ascontiguousarray(reduced))
     return LabeledSubspace(field=field, labels=union, basis=reduced)
 

@@ -134,7 +134,7 @@ class _ModPKernel:
         return len(pivots)
 
 
-def _rational_kernel(basis, d) -> _ModPKernel:
+def _rational_kernel(basis, d, n) -> _ModPKernel:
     # Clear denominators row by row (row scaling keeps the column matroid),
     # then reduce mod a prime larger than any d x d minor can be in absolute
     # value (Hadamard bound), so nonzero minors stay nonzero mod p.
@@ -145,7 +145,6 @@ def _rational_kernel(basis, d) -> _ModPKernel:
     big = max((abs(x) for row in int_rows for x in row), default=1) or 1
     bound = math.isqrt((d * big * big) ** d) + 1
     p = int(nextprime(bound))
-    n = len(int_rows[0]) if int_rows else 0
     cols = [tuple(int_rows[r][j] % p for r in range(d)) for j in range(n)]
     return _ModPKernel(cols, d, p)
 
@@ -172,9 +171,9 @@ class SubspaceMatroid:
     def _kernel(self):
         d = self.space.dim
         char = self.space.field.characteristic
-        if char == 0:
-            return _rational_kernel(self.space.basis, d)
         n = len(self.space.labels)
+        if char == 0:
+            return _rational_kernel(self.space.basis, d, n)
         if d:
             columns = self.space.basis.T.tolist()
         else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,17 @@ def test_matroid_enumeration(segment_file, capsys):
     assert doc["rank"] == 2
     assert doc["bases"] == [[1, 2], [1, 3]]
     assert doc["initial_basis"] == [1, 2]
+
+
+@pytest.mark.parametrize("labels", [[1, "a"], [[1, 2], 3]])
+def test_matroid_labels_of_mixed_types_give_structured_error(tmp_path, labels, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"field": {"char": 2}, "labels": labels, "rows": [[1, 0]]}))
+    code, out = run_cli(capsys, "matroid", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ShapeError", "message": "labels must be mutually comparable",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +185,28 @@ def test_profile_output_file(tmp_path, capsys):
     assert target.read_text().startswith("v,ratio_num")
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["profile", "--group", "lamplighter", "--gens", "+1,-1,b", "--mode", "family",
+             "--family", "lamp-span", "--nmax", "8", "--field", "3", "--format", "json"],
+            "54ca7137acce676e6450c813be60a85a665b21bbf94a47feb8906fc6746a00d9",
+        ),
+        (
+            ["folner", "--group", "lamplighter", "--family", "lamp-span", "--n", "6",
+             "--field", "0"],
+            "1c661d3fcd54062893643dfbc62df6125cf14a439b729b88cba8e95ae274afa4",
+        ),
+    ],
+    ids=["profile-lamp-span-gf3", "folner-lamp-span-q"],
+)
+def test_lamp_span_documents_are_byte_identical(argv, digest, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # verify and the entry point
 
@@ -183,6 +217,15 @@ def test_verify_subset_of_criteria(capsys):
     assert out.count("PASS") == 3
     assert "lamplighter set family" in out
     assert "3/3 criteria passed" in out
+
+
+@pytest.mark.parametrize("only", ["11", "2,11"])
+def test_verify_rejects_unknown_criteria(only, capsys):
+    code, out = run_cli(capsys, "verify", "--only", only)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert "numbered 11;" in error["message"]
 
 
 def test_usage_error_exits_2(capsys):

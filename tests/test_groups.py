@@ -26,6 +26,7 @@ from amenability import (
     parse_group,
     permutation_action_from_json,
 )
+from amenability.groups import _lamp_valid
 
 Z = integer_line()
 L = lamplighter()
@@ -60,6 +61,31 @@ def test_points_are_validated():
         act(Z, "zero", "+1")
     with pytest.raises(DomainError):
         act(L, ((3, 1), 0), "b")  # unsorted lamp support
+
+
+@pytest.mark.parametrize(
+    "point, valid",
+    [
+        (((), 0), True),
+        (((-2, 0, 5), 3), True),
+        (LampElement((1, 2), -4), True),
+        (((False, True), 0), True),  # bools are ints, and False < True
+        (((3, 1), 0), False),  # unsorted lamps
+        (((1, 1), 0), False),  # duplicate lamps
+        (((1, True), 0), False),  # True == 1: a duplicate
+        (((1, 2.0), 0), False),  # non-int lamp
+        (((1, "2"), 0), False),
+        (([1, 2], 0), False),  # lamps as a list
+        (((1,), 0, 0), False),  # wrong arity
+        (((1,),), False),
+        ((), False),
+        (7, False),
+        (((1,), 0.0), False),  # non-int head
+        (((1,), "0"), False),
+    ],
+)
+def test_lamp_points_are_validated(point, valid):
+    assert _lamp_valid(point) is valid
 
 
 def test_lattice_steps():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,9 @@ from amenability import (
     subspace_sum,
     zero_subspace,
     family_generate,
+    align_pair,
 )
+from amenability.linalg import _rref_mod_p, _rref_rational
 
 GF5 = gf(5)
 
@@ -437,3 +440,168 @@ def test_json_rationals_are_num_den_strings():
     F = subspace_from_rows([(2, 1)], ["a", "b"], RATIONALS)
     doc = dump_subspace(F)
     assert '"1/2"' in doc and '"1/1"' in doc
+
+
+# ---------------------------------------------------------------------------
+# fast paths against slow references kept here
+
+
+def reference_rref_mod_p(rows, p):
+    """Gauss-Jordan on lists, one column at a time."""
+    a = [[x % p for x in row] for row in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    r = 0
+    pivots = []
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], r, tuple(pivots)
+
+
+def reference_rref_rational(rows):
+    """Gauss-Jordan over Q that rewrites whole rows."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    r = 0
+    pivots = []
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in a[:r]), r, tuple(pivots)
+
+
+def sparse_matrix(rng, m, n, p, density):
+    """Random residues with runs of zero columns and some zero rows."""
+    a = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+    c = 0
+    while c < n:
+        run = rng.choice([0, 1, 3, 17, 64])
+        for row in a:
+            row[c : c + run] = [0] * len(row[c : c + run])
+        c += run + rng.randrange(1, 6)
+    for i in rng.sample(range(m), m // 4):
+        a[i] = [0] * n
+    return a
+
+
+def mod_p_cases():
+    rng = random.Random(20240607)
+    for p in (2, 3, 31):
+        for m, n, density in [(4, 40, 0.3), (12, 300, 0.05), (24, 500, 0.02), (30, 12, 0.5)]:
+            yield p, sparse_matrix(rng, m, n, p, density)
+        yield p, np.eye(7, dtype=np.int64).tolist()
+        yield p, [[0] * 50 for _ in range(5)]
+        wide = [[rng.randrange(p) for _ in range(120)] for _ in range(6)]
+        for i, row in enumerate(wide):
+            row[:10] = [0] * 10
+            row[10 + 7 * i] = 1
+        yield p, wide
+        yield p, [[0] * 30 + [1] + [0] * 30]
+
+
+@pytest.mark.parametrize("p, rows", list(mod_p_cases()))
+def test_rref_mod_p_matches_the_per_column_reference(p, rows):
+    got, rank, pivots = _rref_mod_p(np.array(rows, dtype=np.int64) % p, p)
+    want, want_rank, want_pivots = reference_rref_mod_p(rows, p)
+    assert (rank, pivots) == (want_rank, want_pivots)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_rational_matches_the_dense_reference(seed):
+    rng = random.Random(seed)
+    m, n = rng.randrange(1, 7), rng.randrange(1, 12)
+    rows = [
+        [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) if rng.random() < 0.4 else Fraction(0)
+         for _ in range(n)]
+        for _ in range(m)
+    ]
+    rows.append([x + y for x, y in zip(rows[0], rows[-1])])  # a dependent row
+    assert _rref_rational(rows) == reference_rref_rational(rows)
+
+
+LABEL_PAIRS = {
+    "disjoint": ([0, 1, 2, 3], [10, 11, 12]),
+    "interleaved": ([0, 2, 4, 6, 8], [1, 3, 5, 7]),
+    "overlapping": ([0, 1, 2, 5, 6], [2, 3, 4, 5, 9]),
+    "equal": ([1, 2, 3, 4], [1, 2, 3, 4]),
+    "nested": ([2, 3, 4], [1, 2, 3, 4, 5]),
+    "tuples": ([((), 0), ((1,), 0), ((1, 2), 1)], [((), 1), ((1,), 0), ((2,), -1)]),
+}
+
+
+def padded_sum(E, F):
+    """E + F built through a label-to-column dict, independently of linalg's merge."""
+    union = sorted(set(E.labels) | set(F.labels))
+    idx = {lbl: j for j, lbl in enumerate(union)}
+    rows = []
+    for sp in (E, F):
+        for row in sp.basis_rows():
+            big = [0] * len(union)
+            for lbl, x in zip(sp.labels, row):
+                big[idx[lbl]] = x
+            rows.append(big)
+    return subspace_from_rows(rows, union, E.field)
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), RATIONALS], ids=["GF2", "GF3", "Q"])
+@pytest.mark.parametrize("kind", sorted(LABEL_PAIRS))
+def test_sum_and_align_over_merged_labels(kind, field):
+    rng = random.Random(kind)
+    e_labels, f_labels = LABEL_PAIRS[kind]
+    E = subspace_from_rows(
+        [[rng.randrange(-2, 3) for _ in e_labels] for _ in range(2)], e_labels, field
+    )
+    F = subspace_from_rows(
+        [[rng.randrange(-2, 3) for _ in f_labels] for _ in range(3)], f_labels, field
+    )
+    union = tuple(sorted(set(E.labels) | set(F.labels)))
+
+    S = subspace_sum(E, F)
+    assert S.labels == union
+    assert S == padded_sum(E, F)
+    assert contains_subspace(E, S) and contains_subspace(F, S)
+
+    Ea, Fa = align_pair(E, F)
+    assert Ea.labels == Fa.labels == union
+    for original, aligned in ((E, Ea), (F, Fa)):
+        assert aligned.dim == original.dim
+        assert contains_subspace(original, aligned) and contains_subspace(aligned, original)
+    assert subspace_sum(Ea, Fa) == S
+
+
+def test_labels_of_mixed_types_are_a_shape_error():
+    with pytest.raises(ShapeError, match="mutually comparable"):
+        subspace_from_rows([(1, 0)], [1, "a"], GF2)
+    E = subspace_from_rows([(1, 1)], [1, 2], GF2)
+    F = subspace_from_rows([(1, 1)], ["a", "b"], GF2)
+    with pytest.raises(ShapeError, match="mutually comparable"):
+        subspace_sum(E, F)
+    with pytest.raises(ShapeError, match="mutually comparable"):
+        align_pair(E, F)
+
+
+def test_unhashable_labels_are_a_shape_error():
+    with pytest.raises(ShapeError, match="hashable"):
+        subspace_from_rows([(1, 0)], [[1], [2]], GF2)

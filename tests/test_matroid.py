@@ -20,8 +20,10 @@ from amenability import (
     greedy_min_basis,
     initial_basis,
     is_basis,
+    gf,
     is_independent,
     subspace_from_rows,
+    zero_subspace,
 )
 
 
@@ -119,6 +121,12 @@ def test_greedy_on_the_segment_matroid():
     # bases are {1,2} (weight 1.1) and {1,3} (weight 1.0)
     M = make([(1, 0, 0), (0, 1, 1)], [1, 2, 3])
     assert greedy_min_basis(M, [0.9, 0.2, 0.1]) == (1, 3)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2, gf(3)], ids=["Q", "GF2", "GF3"])
+def test_greedy_on_a_zero_subspace_is_empty(field):
+    M = SubspaceMatroid(zero_subspace([0, 1, 2], field))
+    assert greedy_min_basis(M, [3, 1, 2]) == ()
 
 
 def test_greedy_weight_count_mismatch():
