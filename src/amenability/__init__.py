@@ -56,6 +56,7 @@ from .steiner import (
     DirectionSampler,
     MinkowskiCheck,
     SteinerEstimate,
+    angles_from_hits,
     coupled_nested_estimate,
     estimate_steiner,
     exterior_angles,

@@ -22,7 +22,7 @@ from .groups import ball, base_point, family_generate, parse_group
 from .linalg import FieldSpec, _encode_label, subspace_from_json
 from .matroid import SubspaceMatroid, enumerate_bases, initial_basis
 from .profile import iso_family_upper, iso_set_exact, phi_from_table
-from .steiner import estimate_steiner, exterior_angles
+from .steiner import angles_from_hits, estimate_steiner
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 4096
@@ -80,7 +80,7 @@ def _cmd_steiner(args) -> int:
         "stderr_bound": est.stderr_bound,
     }
     if args.angles:
-        angles = exterior_angles(M, args.samples, args.seed)
+        angles = angles_from_hits(M, est.per_vertex_hits, est.samples)
         doc["angles"] = [
             {"basis": [_encode_label(l) for l in b], "weight": _frac(w)}
             for b, w in angles.items()

@@ -67,16 +67,24 @@ class GroupAction:
         return point
 
     def act(self, point: Point, generator: str) -> Point:
-        if generator not in self.inverses:
-            raise DomainError(f"unknown generator {generator!r} in a word")
-        self.check_point(point)
-        return self.apply(point, generator)
+        return self.act_word(point, (generator,))
 
     def act_word(self, point: Point, word) -> Point:
+        """The image of ``point`` under a word, checking the point once.
+
+        Generators map points of the action to points of the action, so
+        only the start point needs the check.
+        """
         if isinstance(word, str):
             word = (word,)
+        checked = False
         for g in word:
-            point = self.act(point, g)
+            if g not in self.inverses:
+                raise DomainError(f"unknown generator {g!r} in a word")
+            if not checked:
+                self.check_point(point)
+                checked = True
+            point = self.apply(point, g)
         return point
 
     def inverse_word(self, word) -> tuple:

@@ -7,17 +7,22 @@ the bases is the hot loop of the Steiner-point sampler, so independence
 testing runs on cached per-column data: bitmasks over GF(2), residues
 mod p otherwise.  Rational subspaces are reduced mod a prime exceeding
 the Hadamard bound on their minors, which preserves the matroid exactly.
+On at most ``TABLE_LABELS`` labels a kernel also keeps a table of which
+label subsets are independent, which the sampler reads for whole blocks
+of directions at once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
 from sympy import nextprime
 
 from .errors import (
@@ -39,16 +44,103 @@ from .linalg import (
 Basis = tuple  # a sorted tuple of labels
 
 
-class _Gf2Kernel:
+TABLE_LABELS = 16  # kernels on at most this many labels keep an independence table
+
+
+class _Kernel:
+    """Greedy over a matroid's columns, for one order or for many at once.
+
+    A field kernel supplies ``greedy(order)``: the labels greedy keeps
+    scanning ``order``, sorted, stopping once it holds ``rank`` of them.
+    On at most ``TABLE_LABELS`` labels the kernel also keeps ``table``:
+    ``table[mask]`` records whether the labels in the bitmask ``mask``
+    are independent (1 yes, 0 no, -1 not known yet).  It is a pure
+    function of the matroid, filled on demand by exact elimination, and
+    lives as long as the kernel, so every sampler call on one matroid
+    shares it.
+    """
+
+    __slots__ = ("cols", "rank", "table")
+
+    def __init__(self, cols, d):
+        self.cols = cols
+        self.rank = d
+        n = len(cols)
+        self.table = np.full(1 << n, -1, dtype=np.int8) if n <= TABLE_LABELS else None
+
+    def rank_of(self, indices) -> int:
+        # greedy stops once it holds d labels, and no rank exceeds d
+        return len(self.greedy(indices))
+
+    def greedy_rows(self, order: np.ndarray, samples: int) -> np.ndarray:
+        """Greedy basis for each row of a 2-D order array, as ascending label indices.
+
+        ``samples`` is how many orders the whole run reads.  With a table,
+        greedy runs for all rows at once: step t offers each row its t-th
+        label, as a bit added to the int64 mask of the labels the row
+        kept, and the table says whether the larger set is still
+        independent.  Rows that hold a basis take no further part.  A set
+        the table does not know yet is settled by following one row that
+        offers it to the end of its greedy run, recording every set
+        offered on the way.  Otherwise, and when the run is too short for
+        the table to pay off, this is ``greedy`` row by row.
+        """
+        rows, n = order.shape
+        d = self.rank
+        # Greedy only asks about a kept set of fewer than d labels plus one
+        # more label: at most n * sum_{k<d} C(n-1, k) sets.  Measured, the
+        # table wins once there are at most about 8 of them per sample.
+        if self.table is None or n * sum(math.comb(n - 1, k) for k in range(d)) > 8 * samples:
+            kept = [self.greedy(row.tolist()) for row in order]
+            return np.array(kept, dtype=np.int64).reshape(rows, d)
+        table = self.table
+        kept = np.zeros(rows, dtype=np.int64)
+        size = np.zeros(rows, dtype=np.int64)
+        for t, bit in enumerate(np.left_shift(1, order.T, dtype=np.int64)):
+            open_ = size < d
+            if not open_.any():
+                break
+            cand = np.where(open_, kept | bit, kept)
+            found = table[cand]
+            missing = np.flatnonzero(found < 0)
+            if missing.size:
+                _, first = np.unique(cand[missing], return_index=True)
+                for i in missing[first].tolist():
+                    self._record_run(int(kept[i]), order[i, t:].tolist())
+                found = table[cand]
+            take = open_ & (found == 1)
+            kept = np.where(take, cand, kept)
+            size += take
+        bits = np.unpackbits(
+            kept.astype("<i8").view(np.uint8).reshape(rows, 8), axis=1, count=n, bitorder="little"
+        )
+        return np.nonzero(bits)[1].reshape(rows, d)
+
+    def _record_run(self, kept: int, rest: list) -> None:
+        """Record in the table each set greedy meets going on from ``kept`` along ``rest``."""
+        members = [j for j in range(len(self.cols)) if kept >> j & 1]
+        # kept is independent, so greedy keeps all of it before reading rest
+        chosen = set(self.greedy(members + rest))
+        size = len(members)
+        met = {}
+        for idx in rest:
+            if size == self.rank:
+                break
+            cand = kept | 1 << idx
+            met[cand] = idx in chosen
+            if met[cand]:
+                kept = cand
+                size += 1
+        self.table[list(met)] = list(met.values())
+
+
+class _Gf2Kernel(_Kernel):
     """Columns as bitmasks; elimination by XOR."""
 
-    __slots__ = ("cols", "rank")
+    __slots__ = ()
 
     def __init__(self, columns, d):
-        self.rank = d
-        self.cols = [
-            sum(1 << r for r, v in enumerate(col) if v) for col in columns
-        ]
+        super().__init__([sum(1 << r for r, v in enumerate(col) if v) for col in columns], d)
 
     def greedy(self, order) -> list:
         cols = self.cols
@@ -70,30 +162,14 @@ class _Gf2Kernel:
         kept.sort()
         return kept
 
-    def rank_of(self, indices) -> int:
-        table = {}
-        r = 0
-        for idx in indices:
-            c = self.cols[idx]
-            while c:
-                low = c & (-c)
-                hit = table.get(low)
-                if hit is None:
-                    table[low] = c
-                    r += 1
-                    break
-                c ^= hit
-        return r
 
-
-class _ModPKernel:
+class _ModPKernel(_Kernel):
     """Columns as residue tuples mod p; incremental Gaussian elimination."""
 
-    __slots__ = ("cols", "rank", "p")
+    __slots__ = ("p",)
 
     def __init__(self, cols, d, p):
-        self.cols = cols
-        self.rank = d
+        super().__init__(cols, d)
         self.p = p
 
     def greedy(self, order) -> list:
@@ -110,28 +186,13 @@ class _ModPKernel:
                     c = [(a - f * b) % p for a, b in zip(c, row)]
             pos = next((j for j, x in enumerate(c) if x), -1)
             if pos >= 0:
-                inv = pow(c[pos], p - 2, p)
+                inv = pow(c[pos], -1, p)
                 pivots.append((pos, [(x * inv) % p for x in c]))
                 kept.append(idx)
                 if len(kept) == d:
                     break
         kept.sort()
         return kept
-
-    def rank_of(self, indices) -> int:
-        p = self.p
-        pivots = []
-        for idx in indices:
-            c = list(self.cols[idx])
-            for pos, row in pivots:
-                f = c[pos]
-                if f:
-                    c = [(a - f * b) % p for a, b in zip(c, row)]
-            pos = next((j for j, x in enumerate(c) if x), -1)
-            if pos >= 0:
-                inv = pow(c[pos], p - 2, p)
-                pivots.append((pos, [(x * inv) % p for x in c]))
-        return len(pivots)
 
 
 def _rational_kernel(basis, d, n) -> _ModPKernel:
@@ -224,6 +285,15 @@ def greedy_min_basis(M: SubspaceMatroid, weights: Sequence) -> Basis:
         raise ShapeError(
             f"need one weight per label: got {len(weights)} for {len(M.labels)}"
         )
+    try:
+        finite = all(map(math.isfinite, weights))
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
+        finite = all(
+            isinstance(w, numbers.Rational) or (isinstance(w, numbers.Real) and math.isfinite(w))
+            for w in weights
+        )
+    if not finite:
+        raise ShapeError("weights must be finite real numbers")
     order = sorted(range(len(M.labels)), key=lambda i: (weights[i], i))
     kept = M._kernel.greedy(order)
     return tuple(M.labels[i] for i in kept)

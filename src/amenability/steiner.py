@@ -13,13 +13,21 @@ compare coordinatewise, and their L1 gap is exactly the dimension gap.
 
 Direction sampling is counter-based (Philox keyed by (seed, chunk)), so
 sample i depends only on (seed, i) and never on scheduling or worker
-count.  ``AMEN_THREADS`` sets the worker count; results are identical
-for any value.
+count.  Every sampling entry point goes through one driver,
+``_shared_kept``: per chunk of 512 directions it argsorts the block once
+and hands the orders to each matroid's kernel, which runs greedy for all
+of them together (as numpy steps over an independence table on at most
+``matroid.TABLE_LABELS`` labels when the run is long enough for the
+table to pay off, order by order otherwise).  Greedy depends only on
+the matroid and the order, so both give the same bases.
+``AMEN_THREADS`` sets how many threads map the chunks; results are
+identical for any value.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -64,6 +72,8 @@ class DirectionSampler:
     dimension: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ShapeError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < _SEED_LIMIT):
             raise ShapeError("seed must fit in 64 bits")
         if self.dimension < 1:
@@ -122,48 +132,92 @@ class SteinerEstimate:
         return dict(zip(self.labels, self.vector))
 
 
-def _greedy_hits(M: SubspaceMatroid, N: int, seed: int) -> Counter:
-    """Hit counts of the greedy minimum basis over N shared directions."""
-    sampler = DirectionSampler(seed=seed, dimension=len(M.labels))
-    kernel = M._kernel
-    labels = M.labels
+def _shared_kept(kernels, N: int, seed: int):
+    """Greedy bases of each kernel over samples 0..N-1 of one direction stream.
 
-    def run_chunk(c: int) -> Counter:
-        lo, hi = c * CHUNK, min((c + 1) * CHUNK, N)
-        block = sampler.chunk(c)
-        counts = Counter()
-        for i in range(hi - lo):
-            order = np.argsort(block[i], kind="stable").tolist()
-            kept = kernel.greedy(order)
-            counts[tuple(labels[j] for j in kept)] += 1
-        return counts
+    Yields one list per chunk, in chunk order, holding for each kernel a
+    (rows, rank) array of ascending label indices.  The kernels share
+    their labels; ``AMEN_THREADS`` threads map the chunks.
+    """
+    sampler = DirectionSampler(seed=seed, dimension=len(kernels[0].cols))
+
+    def run_chunk(c: int) -> list:
+        block = sampler.chunk(c)[: N - c * CHUNK]
+        order = np.argsort(block, axis=1, kind="stable")
+        return [kernel.greedy_rows(order, N) for kernel in kernels]
 
     chunks = range((N + CHUNK - 1) // CHUNK)
     workers = _worker_count()
-    total = Counter()
     if workers == 1:
-        for c in chunks:
-            total.update(run_chunk(c))
+        yield from map(run_chunk, chunks)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(run_chunk, chunks):
-                total.update(counts)
-    return total
+            yield from pool.map(run_chunk, chunks)
 
 
-def _vector_from_hits(labels, hits: Counter, N: int) -> tuple:
-    acc = {lbl: 0 for lbl in labels}
-    for basis, count in hits.items():
-        for lbl in basis:
-            acc[lbl] += count
-    return tuple(Fraction(acc[lbl], N) for lbl in labels)
+def _distinct_rows(rows: np.ndarray):
+    """The distinct rows of a 2-D integer array and how often each occurs."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1]
+    packed = rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
+    keys, counts = np.unique(packed, return_counts=True)
+    return keys.view(rows.dtype).reshape(-1, width), counts
 
 
-def _check_sampling_args(M: SubspaceMatroid, N: int) -> None:
+def _indicator(rows: np.ndarray, n: int) -> np.ndarray:
+    """One 0/1 row of length n per row of label indices."""
+    out = np.zeros((len(rows), n), dtype=bool)
+    out[np.arange(len(rows))[:, None], rows] = True
+    return out
+
+
+def _tally(matroids, N: int, seed: int, nested: bool = False):
+    """Hits of each matroid's greedy basis over N shared directions.
+
+    Returns, per matroid, the hit counts keyed by sorted label tuples
+    (in key order) and the per-label counts summed sample by sample.
+    With ``nested``, every sample's first basis must lie in its second.
+    """
+    labels = matroids[0].labels
+    n = len(labels)
+    hits = [Counter() for _ in matroids]
+    per_label = [np.zeros(n, dtype=np.int64) for _ in matroids]
+    for kept in _shared_kept([M._kernel for M in matroids], N, seed):
+        if nested and np.any(_indicator(kept[0], n) & ~_indicator(kept[1], n)):
+            raise InternalInvariantError("greedy bases of a nested pair were not nested")
+        for counter, counts, rows in zip(hits, per_label, kept):
+            keys, freq = _distinct_rows(rows)
+            counter.update(dict(zip(map(tuple, keys.tolist()), freq.tolist())))
+            counts += np.bincount(rows.ravel(), minlength=n)
+    by_label = [
+        dict(sorted((tuple(labels[j] for j in key), c) for key, c in counter.items()))
+        for counter in hits
+    ]
+    return by_label, per_label
+
+
+def _check_sampling_args(M: SubspaceMatroid, N) -> None:
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise ShapeError(f"sample count must be an integer, got {N!r}")
     if N < 1:
         raise ShapeError("sample count must be at least 1")
     if M.rank < 1:
         raise DegenerateInputError("the zero subspace has no Steiner point")
+
+
+def _estimate(labels, hits: dict, N: int, seed: int) -> SteinerEstimate:
+    acc = {lbl: 0 for lbl in labels}
+    for basis, count in hits.items():
+        for lbl in basis:
+            acc[lbl] += count
+    return SteinerEstimate(
+        labels=labels,
+        vector=tuple(Fraction(acc[lbl], N) for lbl in labels),
+        samples=N,
+        seed=seed,
+        per_vertex_hits=hits,
+        stderr_bound=math.sqrt(0.25 / N),
+    )
 
 
 def estimate_steiner(M: SubspaceMatroid, samples: int, seed: int) -> SteinerEstimate:
@@ -173,30 +227,29 @@ def estimate_steiner(M: SubspaceMatroid, samples: int, seed: int) -> SteinerEsti
     weighted average of the vertices.  Deterministic given (seed, samples).
     """
     _check_sampling_args(M, samples)
-    hits = _greedy_hits(M, samples, seed)
-    vector = _vector_from_hits(M.labels, hits, samples)
-    return SteinerEstimate(
-        labels=M.labels,
-        vector=vector,
-        samples=samples,
-        seed=seed,
-        per_vertex_hits=dict(sorted(hits.items())),
-        stderr_bound=math.sqrt(0.25 / samples),
-    )
+    (hits,), _ = _tally([M], samples, seed)
+    return _estimate(M.labels, hits, samples, seed)
+
+
+def angles_from_hits(M: SubspaceMatroid, hits: Mapping[tuple, int], samples: int) -> dict:
+    """Exterior-angle fractions from hit counts; every key is verified to be a basis."""
+    for basis in hits:
+        if not is_basis(M, basis):
+            raise InternalInvariantError(f"greedy returned a non-basis {basis!r}")
+    return {b: Fraction(c, samples) for b, c in sorted(hits.items())}
 
 
 def exterior_angles(M: SubspaceMatroid, samples: int, seed: int) -> dict:
     """Estimated exterior angle of each vertex: its fraction of directions.
 
     The fractions carry denominator ``samples`` and add up to 1 exactly;
-    every key is verified to be a basis.
+    every key is verified to be a basis.  They equal
+    ``angles_from_hits(M, est.per_vertex_hits, samples)`` for the
+    estimate with the same seed.
     """
     _check_sampling_args(M, samples)
-    hits = _greedy_hits(M, samples, seed)
-    for basis in hits:
-        if not is_basis(M, basis):
-            raise InternalInvariantError(f"greedy returned a non-basis {basis!r}")
-    return {b: Fraction(c, samples) for b, c in sorted(hits.items())}
+    (hits,), _ = _tally([M], samples, seed)
+    return angles_from_hits(M, hits, samples)
 
 
 @dataclass(frozen=True)
@@ -214,7 +267,8 @@ def coupled_nested_estimate(
     Per direction the greedy basis of E is contained in the greedy basis
     of F, so the estimate of E is coordinatewise at most the estimate of
     F and the L1 distance between them is exactly dim F - dim E.  Both
-    facts are asserted sample by sample, not statistically.
+    facts are asserted: nesting sample by sample, the order and the gap
+    on the exact vectors.
     """
     if not contains_subspace(E.space, F.space):
         raise ContainmentError("coupled estimates need E <= F")
@@ -226,57 +280,9 @@ def coupled_nested_estimate(
     if E.rank < 1:
         raise DegenerateInputError("the zero subspace has no Steiner point")
 
-    sampler = DirectionSampler(seed=seed, dimension=len(F.labels))
-    kern_e, kern_f = E._kernel, F._kernel
-    labels = F.labels
-
-    def run_chunk(c: int):
-        lo, hi = c * CHUNK, min((c + 1) * CHUNK, samples)
-        block = sampler.chunk(c)
-        ce, cf = Counter(), Counter()
-        for i in range(hi - lo):
-            order = np.argsort(block[i], kind="stable").tolist()
-            kept_e = kern_e.greedy(order)
-            kept_f = kern_f.greedy(order)
-            if not set(kept_e) <= set(kept_f):
-                raise InternalInvariantError(
-                    "greedy bases of a nested pair were not nested"
-                )
-            ce[tuple(labels[j] for j in kept_e)] += 1
-            cf[tuple(labels[j] for j in kept_f)] += 1
-        return ce, cf
-
-    chunks = range((samples + CHUNK - 1) // CHUNK)
-    workers = _worker_count()
-    hits_e, hits_f = Counter(), Counter()
-    if workers == 1:
-        results = map(run_chunk, chunks)
-        for ce, cf in results:
-            hits_e.update(ce)
-            hits_f.update(cf)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for ce, cf in pool.map(run_chunk, chunks):
-                hits_e.update(ce)
-                hits_f.update(cf)
-
-    stderr = math.sqrt(0.25 / samples)
-    est_e = SteinerEstimate(
-        labels=labels,
-        vector=_vector_from_hits(labels, hits_e, samples),
-        samples=samples,
-        seed=seed,
-        per_vertex_hits=dict(sorted(hits_e.items())),
-        stderr_bound=stderr,
-    )
-    est_f = SteinerEstimate(
-        labels=labels,
-        vector=_vector_from_hits(labels, hits_f, samples),
-        samples=samples,
-        seed=seed,
-        per_vertex_hits=dict(sorted(hits_f.items())),
-        stderr_bound=stderr,
-    )
+    (hits_e, hits_f), _ = _tally([E, F], samples, seed, nested=True)
+    est_e = _estimate(F.labels, hits_e, samples, seed)
+    est_f = _estimate(F.labels, hits_f, samples, seed)
     gap = F.rank - E.rank
     if any(a > b for a, b in zip(est_e.vector, est_f.vector)):
         raise InternalInvariantError("coupled estimates were not monotone")
@@ -306,54 +312,28 @@ def minkowski_combination_check(
     direction v is a*x1 + (1-a)*x2 where x1, x2 minimize over P1, P2
     (normal cones intersect), so the per-sample accumulation of the
     combined vertex must equal the combination of the two estimates
-    exactly.  Both accumulation paths are computed and compared.
+    exactly.  Both accumulation paths are computed and compared: the
+    estimates from the hit counts, the combination from the labels each
+    sample kept.
     """
     if M1.labels != M2.labels:
         raise ShapeError("Minkowski combination needs a common ambient label list")
-    alpha = Fraction(alpha)
+    try:
+        alpha = Fraction(alpha)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"the combination weight must be rational, got {alpha!r}") from exc
     if not (0 <= alpha <= 1):
         raise ShapeError("the combination weight must lie in [0, 1]")
     _check_sampling_args(M1, samples)
     _check_sampling_args(M2, samples)
     labels = M1.labels
-    sampler = DirectionSampler(seed=seed, dimension=len(labels))
-    k1, k2 = M1._kernel, M2._kernel
-
-    hits1, hits2 = Counter(), Counter()
-    combined_acc = {lbl: Fraction(0) for lbl in labels}
+    (hits1, hits2), (counts1, counts2) = _tally([M1, M2], samples, seed)
+    est1 = _estimate(labels, hits1, samples, seed)
+    est2 = _estimate(labels, hits2, samples, seed)
     beta = 1 - alpha
-    for c in range((samples + CHUNK - 1) // CHUNK):
-        lo, hi = c * CHUNK, min((c + 1) * CHUNK, samples)
-        block = sampler.chunk(c)
-        for i in range(hi - lo):
-            order = np.argsort(block[i], kind="stable").tolist()
-            kept1 = k1.greedy(order)
-            kept2 = k2.greedy(order)
-            hits1[tuple(labels[j] for j in kept1)] += 1
-            hits2[tuple(labels[j] for j in kept2)] += 1
-            for j in kept1:
-                combined_acc[labels[j]] += alpha
-            for j in kept2:
-                combined_acc[labels[j]] += beta
-
-    stderr = math.sqrt(0.25 / samples)
-    est1 = SteinerEstimate(
-        labels=labels,
-        vector=_vector_from_hits(labels, hits1, samples),
-        samples=samples,
-        seed=seed,
-        per_vertex_hits=dict(sorted(hits1.items())),
-        stderr_bound=stderr,
+    combined = tuple(
+        (alpha * a + beta * b) / samples for a, b in zip(counts1.tolist(), counts2.tolist())
     )
-    est2 = SteinerEstimate(
-        labels=labels,
-        vector=_vector_from_hits(labels, hits2, samples),
-        samples=samples,
-        seed=seed,
-        per_vertex_hits=dict(sorted(hits2.items())),
-        stderr_bound=stderr,
-    )
-    combined = tuple(combined_acc[lbl] / samples for lbl in labels)
     expected = tuple(
         alpha * a + beta * b for a, b in zip(est1.vector, est2.vector)
     )

@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from amenability import GF2, dump_subspace, subspace_from_rows, subspace_to_json
+from amenability import (
+    GF2,
+    RATIONALS,
+    DirectionSampler,
+    dump_subspace,
+    gf,
+    subspace_from_rows,
+    subspace_to_json,
+)
 from amenability.cli import main
 
 
@@ -53,6 +61,43 @@ def test_steiner_is_byte_identical_across_threads(segment_file, capsys, monkeypa
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "rows, field, argv, digest",
+    [
+        (
+            [[1, 0, 0, 1, 1, 2], [0, 1, 0, 1, -1, 3], [0, 0, 1, 2, 1, -1]],
+            RATIONALS,
+            ["--samples", "4096", "--seed", "7"],
+            "a4e8f92fa932b6513a77c26cb526051091f6e5dfb2d1f4ae9287e228f2b59720",
+        ),
+        (
+            [[1, 0, 1, 2, 0, 0, 1], [0, 1, 1, 1, 0, 0, 2]],
+            gf(3),
+            ["--samples", "1000", "--seed", "11"],
+            "953c1d598ba9856c53f99b7ee2ea5901337531dcacaa1e467e9e4344a9eb0792",
+        ),
+    ],
+    ids=["q-3x6", "gf3-2x7-loops"],
+)
+def test_steiner_angles_documents_are_byte_identical(rows, field, argv, digest, tmp_path, capsys):
+    # digests of documents whose angles were sampled apart from the estimate;
+    # reading the angles off the estimate's hits must not change a byte
+    path = tmp_path / "sub.json"
+    path.write_text(dump_subspace(subspace_from_rows(rows, list(range(len(rows[0]))), field)))
+    code, out = run_cli(capsys, "steiner", "--input", str(path), *argv, "--angles")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_steiner_angles_draw_each_direction_once(segment_file, capsys, monkeypatch):
+    drawn = []
+    chunk = DirectionSampler.chunk
+    monkeypatch.setattr(DirectionSampler, "chunk", lambda self, c: drawn.append(c) or chunk(self, c))
+    code, _ = run_cli(capsys, "steiner", "--input", segment_file, "--samples", "1100", "--angles")
+    assert code == 0
+    assert drawn == [0, 1, 2]
 
 
 def test_steiner_missing_file_errors(capsys):

@@ -122,6 +122,14 @@ def random_point(action, rng):
     raise AssertionError(action.name)
 
 
+HEXAGON_POINTS = [(0, k) for k in range(6)]
+HEXAGON = finite_action(
+    "hexagon",
+    HEXAGON_POINTS,
+    {"r": [(0, (k + 1) % 6) for k in range(6)], "s": [(0, -k % 6) for k in range(6)]},
+)
+
+
 @pytest.mark.parametrize("factory", [integer_line, lambda: integer_lattice(3), lamplighter, lambda: free_group(2)])
 def test_generator_inverse_round_trip(factory):
     action = factory()
@@ -131,6 +139,52 @@ def test_generator_inverse_round_trip(factory):
         g = rng.choice(action.generators)
         y = action.act(x, g)
         assert action.act(y, action.inverses[g]) == x
+
+
+@pytest.mark.parametrize(
+    "action",
+    [Z, integer_lattice(3), L, F2, HEXAGON],
+    ids=["Z", "Z^3", "lamplighter", "free:2", "finite"],
+)
+def test_words_take_valid_points_to_valid_points(action):
+    # act_word checks only the start point; every image must still be a point
+    rng = random.Random(103)
+    for _ in range(300):
+        x = rng.choice(HEXAGON_POINTS) if action is HEXAGON else random_point(action, rng)
+        word = tuple(rng.choice(action.generators) for _ in range(rng.randrange(1, 9)))
+        y = action.act_word(x, word)
+        assert action.validate(y)
+        stepped = x
+        for g in word:
+            stepped = action.act(stepped, g)  # checks the point at every step
+        assert y == stepped
+
+
+@pytest.mark.parametrize(
+    "action, bad",
+    [
+        (Z, "zero"),
+        (Z, 1.5),
+        (integer_lattice(2), (1,)),
+        (L, ((3, 1), 0)),
+        (L, ([1], 0)),
+        (F2, (1, -1)),
+        (F2, (3,)),
+        (HEXAGON, (0, 6)),
+    ],
+)
+def test_invalid_start_points_still_raise(action, bad):
+    with pytest.raises(DomainError, match="is not a point"):
+        action.act_word(bad, action.generators[0])
+    with pytest.raises(DomainError, match="is not a point"):
+        action.act_word(bad, (action.generators[0],) * 3)
+
+
+def test_unknown_generators_still_raise_anywhere_in_a_word():
+    with pytest.raises(DomainError, match="unknown generator"):
+        Z.act_word(0, ("+1", "+1", "nope"))
+    with pytest.raises(DomainError, match="unknown generator"):
+        L.act_word("not a point", ("nope", "b"))  # the word is read left to right
 
 
 def test_lamplighter_associativity_against_the_group_law():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from amenability import (
@@ -322,3 +323,37 @@ def test_nested_greedy_containment():
         small = greedy_min_basis(E, weights)
         large = greedy_min_basis(F, weights)
         assert set(small) <= set(large)
+
+
+# ---------------------------------------------------------------------------
+# greedy weights
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        ["a", 1, 2],
+        [0.5, None, 1],
+        [float("nan"), 1, 2],
+        [1, float("inf"), 2],
+        [1, 2, -float("inf")],
+        [1j, 2, 3],
+    ],
+    ids=["str", "none", "nan", "inf", "minus-inf", "complex"],
+)
+def test_greedy_weights_must_be_finite_reals(weights):
+    M = make([(1, 0, 1), (0, 1, 1)], [1, 2, 3])
+    with pytest.raises(ShapeError, match="finite real"):
+        greedy_min_basis(M, weights)
+
+
+def test_greedy_accepts_every_kind_of_real():
+    M = make([(1, 0, 1), (0, 1, 1)], [1, 2, 3])
+    for weights in (
+        [3, 1, 2],
+        [3.0, 1.0, 2.0],
+        [Fraction(3), Fraction(1, 2), 2],
+        np.array([3.0, 1.0, 2.0]),
+        [10**400, 1, 2],
+    ):
+        assert greedy_min_basis(M, weights) == (2, 3)

@@ -101,6 +101,35 @@ def test_sample_count_must_be_positive():
         estimate_steiner(FULL2, samples=0, seed=1)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "10", None, Fraction(7, 1)])
+def test_sample_count_must_be_an_integer(bad):
+    with pytest.raises(ShapeError, match="sample count"):
+        estimate_steiner(FULL2, bad, 1)
+    with pytest.raises(ShapeError, match="sample count"):
+        exterior_angles(FULL2, bad, 1)
+    with pytest.raises(ShapeError, match="sample count"):
+        coupled_nested_estimate(DIAG2, FULL2, bad, 1)
+    with pytest.raises(ShapeError, match="sample count"):
+        minkowski_combination_check(DIAG2, FULL2, Fraction(1, 2), bad, 1)
+
+
+def test_numpy_integers_are_sample_counts_and_seeds():
+    expected = estimate_steiner(SEGMENT, 300, 9)
+    assert estimate_steiner(SEGMENT, np.int64(300), np.uint32(9)) == expected
+
+
+@pytest.mark.parametrize("bad", [2.5, "7", None, False])
+def test_seed_must_be_an_integer(bad):
+    with pytest.raises(ShapeError, match="seed"):
+        estimate_steiner(FULL2, 10, bad)
+
+
+@pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf")])
+def test_combination_weight_must_be_rational(bad):
+    with pytest.raises(ShapeError, match="combination weight"):
+        minkowski_combination_check(DIAG2, FULL2, bad, 10, 1)
+
+
 def test_estimate_invariants_on_random_subspaces():
     rng = random.Random(2)
     for _ in range(12):
