@@ -67,7 +67,6 @@ from .groups import (
     FAMILY_KINDS,
     GroupAction,
     LampElement,
-    act,
     ball,
     base_point,
     family_generate,

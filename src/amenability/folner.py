@@ -212,12 +212,7 @@ def set_to_subspace(F: Iterable, field: FieldSpec) -> LabeledSubspace:
     points = sorted(set(F))
     if not points:
         raise DegenerateInputError("cannot span the empty set")
-    m = len(points)
-    if field.is_rational:
-        rows = [[1 if j == i else 0 for j in range(m)] for i in range(m)]
-    else:
-        rows = np.eye(m, dtype=np.int64)
-    return subspace_from_rows(rows, points, field)
+    return subspace_from_rows(np.eye(len(points), dtype=np.int64), points, field)
 
 
 def subspace_report(F: LabeledSubspace, S, action: GroupAction) -> FolnerReport:

@@ -66,9 +66,6 @@ class GroupAction:
             raise DomainError(f"{point!r} is not a point of the {self.name} action")
         return point
 
-    def act(self, point: Point, generator: str) -> Point:
-        return self.act_word(point, (generator,))
-
     def act_word(self, point: Point, word) -> Point:
         """The image of ``point`` under a word, checking the point once.
 
@@ -91,11 +88,6 @@ class GroupAction:
         if isinstance(word, str):
             word = (word,)
         return tuple(self.inverses[g] for g in reversed(word))
-
-
-def act(action: GroupAction, point: Point, g) -> Point:
-    """Apply a generator or a word of generators to a point."""
-    return action.act_word(point, g)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +361,4 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
     rows = np.zeros((n, len(points)), dtype=np.int64)
     for t in range(1, n + 1):
         rows[t - 1, positions == t] = 1
-    if field.is_rational:
-        rows = rows.tolist()
     return subspace_from_rows(rows, points, field)

@@ -2,9 +2,15 @@
 
 Subspaces of K^X are stored as reduced row-echelon bases over an ordered
 list of coordinate labels, so equality of subspaces is equality of the
-stored data.  No floating point is used anywhere in this module: GF(p)
-matrices are int64 arrays of residues (p is a machine-word prime, so
-products fit), rationals are ``fractions.Fraction``.
+stored data.  No floating point is used anywhere in this module.
+
+One kernel, ``_rref``, row-reduces for every field, on a 2-D numpy array
+of one of two element types: int64 residues for GF(p) (p is a
+machine-word prime, so products fit) or ``fractions.Fraction`` objects
+for Q.  Only its pivot inverse and its ``% p`` depend on the field.
+``_to_array`` turns any rows into that array and ``_to_basis`` turns a
+reduced array into the stored basis: a read-only C-contiguous int64
+array over GF(p), a tuple of Fraction tuples over Q.
 """
 
 from __future__ import annotations
@@ -95,42 +101,62 @@ def gf(p: int) -> FieldSpec:
 # reduced row-echelon form
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _to_array(rows, field: FieldSpec, width: int = 0) -> np.ndarray:
+    """Rows as a fresh 2-D array for ``_rref``: int64 residues over GF(p), Fractions over Q.
+
+    Reads integers, integer arrays, Fractions and "num/den" strings
+    exactly; floats are refused, never rounded.  ``width`` is the column
+    count of an empty list of rows.
+    """
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+        if not rows:
+            rows = np.zeros((0, width), dtype=np.int64)
+    try:
+        a = np.asarray(rows)
+    except ValueError as exc:
+        raise ShapeError(f"rows must form a rectangular matrix: {exc}") from exc
+    if a.ndim != 2:
+        raise ShapeError("rows must form a rectangular matrix")
+    p = field.characteristic
+    if a.size == 0 or (a.dtype.kind in "iub" and a.dtype != np.uint64):
+        if p:
+            # bools are 0 and 1 already; anything else is reduced into a fresh array
+            return a.astype(np.int64) if a.dtype == bool else a.astype(np.int64, copy=False) % p
+        # One Fraction per distinct integer, shared by every entry holding it.
+        values, where = np.unique(a, return_inverse=True)
+        table = np.array([Fraction(int(v)) for v in values.tolist()], dtype=object)
+        return table[where.reshape(a.shape)]
+    if a.dtype.kind not in "OUu":
+        raise ShapeError("matrix entries must be exact, not floats")
+    coerced = [[field.coerce(x) for x in row] for row in a.tolist()]
+    return np.array(coerced, dtype=np.int64 if p else object).reshape(a.shape)
+
+
+def _to_basis(a: np.ndarray, field: FieldSpec):
+    """The stored basis of a reduced array.
+
+    A read-only C-contiguous int64 array over GF(p), a tuple of Fraction
+    tuples over Q.
+    """
+    if field.is_rational:
+        return tuple(map(tuple, a.tolist()))
+    a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
 
 
-def _as_residue_matrix(rows, p: int, width: int = None) -> np.ndarray:
-    """Rows as an int64 matrix of residues mod p; exact, never via floats."""
-    if isinstance(rows, np.ndarray):
-        if rows.dtype.kind not in "iub":
-            raise ShapeError("GF(p) matrices must be integer-valued")
-        a = rows.astype(np.int64, copy=True)
-    else:
-        rows = list(rows)
-        if not rows:
-            return np.empty((0, width or 0), dtype=np.int64)
-        try:
-            a = np.asarray(rows)
-        except ValueError as exc:
-            raise ShapeError(f"rows must form a rectangular matrix: {exc}") from exc
-        if a.ndim != 2:
-            raise ShapeError("rows must form a rectangular matrix")
-        if a.dtype.kind in "iub":
-            a = a.astype(np.int64)
-        elif a.dtype.kind in "OU":
-            # Fractions, strings, or out-of-word integers: coerce exactly.
-            fld = FieldSpec(p)
-            a = np.asarray(
-                [[fld.coerce(x) for x in row] for row in rows], dtype=np.int64
-            )
-        else:
-            raise ShapeError("GF(p) matrices must be integer-valued, not floats")
-    return a % p
+def _mod(a, p: int):
+    """``a`` reduced mod p over GF(p); unchanged over Q (p = 0)."""
+    return a % p if p else a
 
 
-def _rref_mod_p(a: np.ndarray, p: int):
-    """In-place RREF over GF(p); returns (trimmed matrix, rank, pivots)."""
+def _rref(a: np.ndarray, p: int):
+    """In-place RREF of ``a`` over GF(p), or over Q when p = 0.
+
+    ``a`` holds residues mod p (int64) or Fractions (object).  Returns
+    ``(a[:rank], pivots)``.
+    """
     m, n = a.shape
     r = 0
     c = 0
@@ -156,57 +182,22 @@ def _rref_mod_p(a: np.ndarray, p: int):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        # Rows r.. are zero left of column c, so only columns c.. change.
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        f = a[:, c].copy()
-        f[r] = 0
-        hit = f.nonzero()[0]
+        # Rows r.. are zero left of column c, so only the pivot row's
+        # support (columns c.. where it is nonzero) changes.
+        sup = c + a[r, c:].nonzero()[0]
+        x = a[r, c]
+        if x != 1:
+            inv = pow(int(x), -1, p) if p else 1 / x
+            a[r, sup] = _mod(a[r, sup] * inv, p)
+        hit = a[:, c].nonzero()[0]
+        hit = hit[hit != r]
         if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(f[hit], a[r, c:])) % p
+            block = np.ix_(hit, sup)
+            a[block] = _mod(a[block] - np.outer(a[hit, c], a[r, sup]), p)
         pivots.append(c)
         r += 1
         c += 1
-    return a[:r], r, tuple(pivots)
-
-
-def _rref_rational(rows: Sequence[Sequence[Fraction]]):
-    """RREF over Q with exact fractions."""
-    a = [list(row) for row in rows]
-    if not a:
-        return (), 0, ()
-    n = len(a[0])
-    if any(len(row) != n for row in a):
-        raise ShapeError("rows must form a rectangular matrix")
-    m = len(a)
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        row_r = a[r]
-        # Rows r.. are zero left of column c; elimination touches only the
-        # pivot row's support.
-        support = [j for j in range(c, n) if row_r[j] != 0]
-        inv = Fraction(1) / row_r[c]
-        if inv != 1:
-            for j in support:
-                row_r[j] *= inv
-        for i in range(m):
-            row = a[i]
-            f = row[c]
-            if i != r and f != 0:
-                for j in support:
-                    row[j] -= f * row_r[j]
-        pivots.append(c)
-        r += 1
-    reduced = tuple(tuple(row) for row in a[:r])
-    return reduced, r, tuple(pivots)
+    return a[:r], tuple(pivots)
 
 
 def rref(rows, field: FieldSpec):
@@ -217,16 +208,8 @@ def rref(rows, field: FieldSpec):
     columns strictly increasing.  The result is the unique RREF of the
     row space of the input.
     """
-    if field.is_rational:
-        coerced = [[field.coerce(x) for x in row] for row in rows]
-        if coerced:
-            n = len(coerced[0])
-            if any(len(row) != n for row in coerced):
-                raise ShapeError("rows must all have the same length")
-        return _rref_rational(coerced)
-    a = _as_residue_matrix(rows, field.characteristic)
-    reduced, rank, pivots = _rref_mod_p(a, field.characteristic)
-    return tuple(tuple(int(x) for x in row) for row in reduced), rank, pivots
+    reduced, pivots = _rref(_to_array(rows, field), field.characteristic)
+    return tuple(map(tuple, reduced.tolist())), len(pivots), pivots
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +244,7 @@ class LabeledSubspace:
             return NotImplemented
         if self.field != other.field or self.labels != other.labels:
             return False
-        if self.field.is_rational:
-            return self.basis == other.basis
-        return np.array_equal(self.basis, other.basis)
+        return np.array_equal(self._array, other._array)
 
     def __ne__(self, other) -> bool:
         result = self.__eq__(other)
@@ -275,21 +256,18 @@ class LabeledSubspace:
             f"dim={self.dim}, ambient={len(self.labels)})"
         )
 
+    @property
+    def _array(self) -> np.ndarray:
+        """The basis as a 2-D array (dim x labels), for reading only."""
+        return np.reshape(self.basis, (self.dim, len(self.labels)))
+
     def basis_rows(self) -> list:
         """Basis rows as plain Python lists of scalars."""
-        if self.field.is_rational:
-            return [list(row) for row in self.basis]
-        return self.basis.tolist()
+        return self._array.tolist()
 
     def pivot_columns(self) -> tuple:
         """Column index of each row's leading 1."""
-        if self.field.is_rational:
-            return tuple(
-                next(j for j, x in enumerate(row) if x != 0) for row in self.basis
-            )
-        if self.dim == 0:
-            return ()
-        return tuple(int(np.nonzero(row)[0][0]) for row in self.basis)
+        return tuple(int(np.flatnonzero(row)[0]) for row in self._array)
 
     def label_index(self) -> dict:
         return {lbl: j for j, lbl in enumerate(self.labels)}
@@ -298,17 +276,12 @@ class LabeledSubspace:
         """Residual of a coordinate vector after elimination against the basis."""
         if len(vector) != len(self.labels):
             raise ShapeError("vector length must match the label count")
-        v = [self.field.coerce(x) for x in vector]
+        v = _to_array([vector], self.field, len(vector))[0]
         p = self.field.characteristic
-        rows = self.basis_rows()
-        for row, c in zip(rows, self.pivot_columns()):
-            f = v[c]
-            if f != 0:
-                if p:
-                    v = [(x - f * y) % p for x, y in zip(v, row)]
-                else:
-                    v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
+        for row, c in zip(self._array, self.pivot_columns()):
+            if v[c]:
+                v = _mod(v - v[c] * row, p)
+        return tuple(v.tolist())
 
     def contains_vector(self, vector: Sequence) -> bool:
         return all(x == 0 for x in self.reduce_vector(vector))
@@ -333,29 +306,13 @@ def subspace_from_rows(rows, labels: Sequence[Label], field: FieldSpec) -> Label
     except TypeError as exc:
         raise ShapeError("labels must be mutually comparable") from exc
     sorted_labels = tuple(labels[j] for j in order)
-    identity = order == list(range(n))
-
-    if not field.is_rational:
-        a = _as_residue_matrix(rows, field.characteristic, width=n)
-        if a.shape[1] != n:
-            raise ShapeError(
-                f"row length {a.shape[1]} does not match label count {n}"
-            )
-        if not identity:
-            a = np.ascontiguousarray(a[:, order])
-        reduced, _, _ = _rref_mod_p(a, field.characteristic)
-        reduced = _freeze(np.ascontiguousarray(reduced))
-        return LabeledSubspace(field=field, labels=sorted_labels, basis=reduced)
-
-    rows = [list(r) for r in rows]
-    for r in rows:
-        if len(r) != n:
-            raise ShapeError(f"row length {len(r)} does not match label count {n}")
-    coerced = [[field.coerce(x) for x in row] for row in rows]
-    if not identity:
-        coerced = [[row[j] for j in order] for row in coerced]
-    reduced, _, _ = _rref_rational(coerced)
-    return LabeledSubspace(field=field, labels=sorted_labels, basis=reduced)
+    a = _to_array(rows, field, n)
+    if a.shape[1] != n:
+        raise ShapeError(f"row length {a.shape[1]} does not match label count {n}")
+    if order != list(range(n)):
+        a = a.take(order, axis=1)  # C-contiguous, which row operations want
+    reduced, _ = _rref(a, field.characteristic)
+    return LabeledSubspace(field=field, labels=sorted_labels, basis=_to_basis(reduced, field))
 
 
 def zero_subspace(labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
@@ -401,24 +358,19 @@ def _merge_labels(a: tuple, b: tuple):
     return tuple(union), pos_a, pos_b
 
 
-def _pad_rows(space: LabeledSubspace, cols: Sequence[int], width: int):
-    """The basis of ``space`` with column j moved to ``cols[j]`` of ``width``.
+def _stacked(width: int, *parts) -> np.ndarray:
+    """The bases of ``parts``, pairs ``(space, cols)``, stacked in one fresh array.
 
-    Order-preserving padding with zero columns keeps RREF intact.
+    Column j of a space goes to column ``cols[j]`` of ``width`` columns,
+    the rest are zero; order-preserving zero padding keeps RREF intact.
     """
-    if not space.field.is_rational:
-        big = np.zeros((space.dim, width), dtype=np.int64)
-        if space.dim:
-            big[:, cols] = space.basis
-        return big
-    zero = Fraction(0)
-    out = []
-    for row in space.basis:
-        big_row = [zero] * width
-        for c, x in zip(cols, row):
-            big_row[c] = x
-        out.append(big_row)
-    return out
+    field = parts[0][0].field
+    a = _to_array(np.zeros((sum(sp.dim for sp, _ in parts), width), dtype=bool), field)
+    r = 0
+    for sp, cols in parts:
+        a[r : r + sp.dim, cols] = sp._array
+        r += sp.dim
+    return a
 
 
 def align_pair(E: LabeledSubspace, F: LabeledSubspace):
@@ -432,10 +384,8 @@ def align_pair(E: LabeledSubspace, F: LabeledSubspace):
     def rebuild(sp, cols):
         if len(sp.labels) == len(union):
             return sp
-        padded = _pad_rows(sp, cols, len(union))
-        if not sp.field.is_rational:
-            return LabeledSubspace(sp.field, union, _freeze(padded))
-        return LabeledSubspace(sp.field, union, tuple(tuple(r) for r in padded))
+        padded = _stacked(len(union), (sp, cols))
+        return LabeledSubspace(sp.field, union, _to_basis(padded, sp.field))
 
     return rebuild(E, pos_e), rebuild(F, pos_f)
 
@@ -444,22 +394,13 @@ def subspace_sum(E: LabeledSubspace, F: LabeledSubspace) -> LabeledSubspace:
     """Span of E and F together; labels are unioned and vectors zero-padded."""
     if E.field != F.field:
         raise FieldMismatchError(f"cannot combine {E.field} with {F.field}")
-    field = E.field
     if E.labels == F.labels:
         union = E.labels
-        pos_e = pos_f = range(len(union))
+        pos_e = pos_f = slice(None)
     else:
         union, pos_e, pos_f = _merge_labels(E.labels, F.labels)
-    if field.is_rational:
-        stacked = _pad_rows(E, pos_e, len(union)) + _pad_rows(F, pos_f, len(union))
-        reduced, _, _ = _rref_rational(stacked)
-    else:
-        stacked = np.zeros((E.dim + F.dim, len(union)), dtype=np.int64)
-        stacked[: E.dim, pos_e] = E.basis
-        stacked[E.dim :, pos_f] = F.basis
-        reduced, _, _ = _rref_mod_p(stacked, field.characteristic)
-        reduced = _freeze(np.ascontiguousarray(reduced))
-    return LabeledSubspace(field=field, labels=union, basis=reduced)
+    reduced, _ = _rref(_stacked(len(union), (E, pos_e), (F, pos_f)), E.field.characteristic)
+    return LabeledSubspace(field=E.field, labels=union, basis=_to_basis(reduced, E.field))
 
 
 def quotient_dim(F: LabeledSubspace, G: LabeledSubspace) -> int:
@@ -468,12 +409,10 @@ def quotient_dim(F: LabeledSubspace, G: LabeledSubspace) -> int:
 
 
 def contains_subspace(E: LabeledSubspace, F: LabeledSubspace) -> bool:
-    """True iff E <= F (every basis row of E reduces to zero against F)."""
+    """True iff E <= F, that is, iff E adds no dimension to F."""
     if E.field != F.field:
         raise FieldMismatchError(f"cannot compare {E.field} with {F.field}")
-    if E.labels != F.labels:
-        E, F = align_pair(E, F)
-    return all(F.contains_vector(row) for row in E.basis_rows())
+    return quotient_dim(F, E) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -536,24 +475,12 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
         }
         new_labels = sorted({y for tt in targets.values() for y in tt})
         moved = {lbl: j for j, lbl in enumerate(new_labels)}
-        if not F.field.is_rational:
-            p = F.field.characteristic
-            big = np.zeros((F.dim, len(new_labels)), dtype=np.int64)
-            for word, coeff in r.items():
-                cols = [moved[y] for y in targets[word]]
-                big[:, cols] = (big[:, cols] + coeff * F.basis) % p
-            return subspace_from_rows(big, new_labels, F.field)
-        zero = Fraction(0)
-        new_rows = []
-        for row in F.basis:
-            big_row = [zero] * len(new_labels)
-            for word, coeff in r.items():
-                tcols = targets[word]
-                for x_val, y in zip(row, tcols):
-                    if x_val != 0:
-                        big_row[moved[y]] += x_val * coeff
-            new_rows.append(big_row)
-        return subspace_from_rows(new_rows, new_labels, F.field)
+        p = F.field.characteristic
+        big = _to_array(np.zeros((F.dim, len(new_labels)), dtype=bool), F.field)
+        for word, coeff in r.items():
+            cols = [moved[y] for y in targets[word]]
+            big[:, cols] = _mod(big[:, cols] + coeff * F._array, p)
+        return subspace_from_rows(big, new_labels, F.field)
 
     word = _as_word(r)
     new_labels = [action.act_word(x, word) for x in F.labels]

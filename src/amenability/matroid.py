@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -35,9 +34,10 @@ from .errors import (
 )
 from .linalg import (
     LabeledSubspace,
+    _rref,
+    _to_array,
     align_pair,
     contains_subspace,
-    rref,
     subspace_from_rows,
 )
 
@@ -273,7 +273,7 @@ def initial_basis(M: SubspaceMatroid) -> Basis:
     return tuple(M.labels[c] for c in M.space.pivot_columns())
 
 
-def greedy_min_basis(M: SubspaceMatroid, weights: Sequence) -> Basis:
+def greedy_min_basis(M: SubspaceMatroid, weights: Iterable) -> Basis:
     """The basis minimizing total weight, by matroid greedy.
 
     Scans labels by ascending weight (ties broken by label order) and
@@ -281,6 +281,10 @@ def greedy_min_basis(M: SubspaceMatroid, weights: Sequence) -> Basis:
     vector this returns the vertex of the base polytope whose normal
     cone contains it.
     """
+    try:
+        weights = list(weights)
+    except TypeError as exc:
+        raise ShapeError(f"weights must be an iterable of numbers, got {weights!r}") from exc
     if len(weights) != len(M.labels):
         raise ShapeError(
             f"need one weight per label: got {len(weights)} for {len(M.labels)}"
@@ -329,6 +333,22 @@ def _check_basis(M: SubspaceMatroid, S, what: str) -> None:
         raise InvalidBasisError(f"{what} {tuple(S)!r} is not a basis")
 
 
+def _rref_leading(space: LabeledSubspace, lead: Sequence[int]):
+    """RREF of a basis with the columns ``lead`` moved first, then moved back.
+
+    Returns ``(matrix, pivots)``: the reduced rows as an array in the
+    space's column order, and the pivots as positions in the order with
+    ``lead`` first.
+    """
+    rest = set(lead)
+    order = list(lead) + [j for j in range(len(space.labels)) if j not in rest]
+    a = _to_array(space.basis, space.field, len(order)).take(order, axis=1)
+    reduced, pivots = _rref(a, space.field.characteristic)
+    back = np.empty_like(reduced)
+    back[:, order] = reduced
+    return back, pivots
+
+
 def basis_extend(E: SubspaceMatroid, F: SubspaceMatroid, S: Iterable) -> Basis:
     """Grow a basis of E <= F into a basis of F containing it.
 
@@ -339,22 +359,12 @@ def basis_extend(E: SubspaceMatroid, F: SubspaceMatroid, S: Iterable) -> Basis:
     _check_nested(E, F)
     _check_basis(E, S, "basis of the smaller subspace")
     Fsp = F.space
-    spos = set(Fsp.label_index()[lbl] for lbl in S)
+    idx = Fsp.label_index()
+    spos = [idx[lbl] for lbl in S]
     # RREF with the S-columns leading isolates the rows vanishing on S.
-    n = len(Fsp.labels)
-    order = sorted(range(n), key=lambda j: (j not in spos, j))
-    permuted = [[row[j] for j in order] for row in Fsp.basis_rows()]
-    reduced, rank, _ = rref(permuted, Fsp.field)
-    k = len(S)
-    inv = {pos: j for pos, j in enumerate(order)}
-    d_rows = []
-    for row in reduced:
-        if all(x == 0 for x in row[:k]):
-            back = [None] * n
-            for pos, x in enumerate(row):
-                back[inv[pos]] = x
-            d_rows.append(back)
-    D = subspace_from_rows(d_rows, Fsp.labels, Fsp.field)
+    reduced, _ = _rref_leading(Fsp, spos)
+    vanishing = ~(reduced[:, spos] != 0).any(axis=1)
+    D = subspace_from_rows(reduced[vanishing], Fsp.labels, Fsp.field)
     extension = initial_basis(SubspaceMatroid(D))
     T = tuple(sorted(set(S) | set(extension)))
     if not is_basis(F, T):
@@ -371,14 +381,11 @@ def basis_restrict(E: SubspaceMatroid, F: SubspaceMatroid, T: Iterable) -> Basis
     T = tuple(sorted(T))
     _check_nested(E, F)
     _check_basis(F, T, "basis of the larger subspace")
-    Esp = E.space
+    # Over the labels of E + F, the labels of T outside E carry zero columns.
+    Esp, _ = align_pair(E.space, F.space)
     idx = Esp.label_index()
-    zero = Fraction(0) if Esp.field.is_rational else 0
-    projected = [
-        [row[idx[lbl]] if lbl in idx else zero for lbl in T] for row in Esp.basis
-    ]
-    proj_space = subspace_from_rows(projected, list(T), Esp.field)
-    S = initial_basis(SubspaceMatroid(proj_space))
+    projected = Esp._array[:, [idx[lbl] for lbl in T]]
+    S = initial_basis(SubspaceMatroid(subspace_from_rows(projected, T, Esp.field)))
     if not is_basis(E, S):
         raise InternalInvariantError("restriction failed the independence recheck")
     return S
@@ -386,22 +393,11 @@ def basis_restrict(E: SubspaceMatroid, F: SubspaceMatroid, T: Iterable) -> Basis
 
 def _dual_basis_rows(space: LabeledSubspace, S: Sequence) -> dict:
     """For each s in S, the unique basis vector whose S-coordinates are e_s."""
-    n = len(space.labels)
     idx = space.label_index()
-    spos = [idx[lbl] for lbl in S]
-    sset = set(spos)
-    order = spos + [j for j in range(n) if j not in sset]
-    permuted = [[row[j] for j in order] for row in space.basis_rows()]
-    reduced, rank, pivots = rref(permuted, space.field)
-    if rank != len(S) or list(pivots) != list(range(len(S))):
+    reduced, pivots = _rref_leading(space, [idx[lbl] for lbl in S])
+    if pivots != tuple(range(len(S))):
         raise InvalidBasisError(f"{tuple(S)!r} is not a basis")
-    out = {}
-    for i, lbl in enumerate(S):
-        back = [None] * n
-        for pos, x in enumerate(reduced[i]):
-            back[order[pos]] = x
-        out[lbl] = back
-    return out
+    return dict(zip(S, reduced.tolist()))
 
 
 def basis_exchange(E: SubspaceMatroid, F: SubspaceMatroid, S, T, k) -> object:

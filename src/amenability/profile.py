@@ -23,7 +23,7 @@ from .errors import (
     InternalInvariantError,
     ShapeError,
 )
-from .folner import set_report, set_to_subspace, subspace_report
+from .folner import _normalize_acting, set_report, set_to_subspace, subspace_report
 from .groups import GroupAction, family_generate
 from .linalg import FieldSpec
 
@@ -76,7 +76,7 @@ def iso_set_exact(
     if not (1 <= v_max <= VMAX_CAP):
         raise CapacityError(f"v_max must be between 1 and {VMAX_CAP}")
 
-    acting = [word for _, word in _acting_words(S)]
+    acting = [word for _, word in _normalize_acting(S)]
     targets = [
         tuple(action.act_word(x, word) for word in acting) for x in points
     ]
@@ -155,12 +155,6 @@ def iso_set_exact(
     )
     _require_nonincreasing(table.rows)
     return table
-
-
-def _acting_words(S) -> list:
-    from .folner import _normalize_acting
-
-    return _normalize_acting(S)
 
 
 def iso_family_upper(
@@ -246,7 +240,7 @@ def naive_iso_set(action: GroupAction, window: Iterable, S, v_max: int) -> Profi
     points = sorted(set(window))
     if len(points) > 16:
         raise CapacityError("the naive oracle is capped at 16 window points")
-    acting = [word for _, word in _acting_words(S)]
+    acting = [word for _, word in _normalize_acting(S)]
     best_by_size = {}
     for k in range(1, min(v_max, len(points)) + 1):
         for combo in combinations(points, k):

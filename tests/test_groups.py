@@ -11,7 +11,6 @@ from amenability import (
     LAMP_IDENTITY,
     LampElement,
     ShapeError,
-    act,
     ball,
     base_point,
     family_generate,
@@ -38,29 +37,29 @@ F2 = free_group(2)
 
 
 def test_line_steps():
-    assert act(Z, 5, "+1") == 6
-    assert act(Z, 5, ("+1", "+1", "-1")) == 6
+    assert Z.act_word(5, "+1") == 6
+    assert Z.act_word(5, ("+1", "+1", "-1")) == 6
 
 
 def test_lamp_toggle_at_origin():
-    assert act(L, LAMP_IDENTITY, "b") == ((0,), 0)
+    assert L.act_word(LAMP_IDENTITY, "b") == ((0,), 0)
 
 
 def test_lamp_toggle_is_shifted_by_the_head():
     # right multiplication shifts the incoming lamp by the head position
-    assert act(L, LampElement((0,), 3), "b") == ((0, 3), 3)
+    assert L.act_word(LampElement((0,), 3), "b") == ((0, 3), 3)
 
 
 def test_unknown_generator_is_a_malformed_word():
     with pytest.raises(DomainError):
-        act(Z, 0, "nope")
+        Z.act_word(0, "nope")
 
 
 def test_points_are_validated():
     with pytest.raises(DomainError):
-        act(Z, "zero", "+1")
+        Z.act_word("zero", "+1")
     with pytest.raises(DomainError):
-        act(L, ((3, 1), 0), "b")  # unsorted lamp support
+        L.act_word(((3, 1), 0), "b")  # unsorted lamp support
 
 
 @pytest.mark.parametrize(
@@ -90,14 +89,14 @@ def test_lamp_points_are_validated(point, valid):
 
 def test_lattice_steps():
     Z2 = integer_lattice(2)
-    assert act(Z2, (0, 0), "+e2") == (0, 1)
-    assert act(Z2, (4, -1), ("-e1", "-e1")) == (2, -1)
+    assert Z2.act_word((0, 0), "+e2") == (0, 1)
+    assert Z2.act_word((4, -1), ("-e1", "-e1")) == (2, -1)
 
 
 def test_free_group_reduction():
-    assert act(F2, (), "a") == (1,)
-    assert act(F2, (1,), "A") == ()
-    assert act(F2, (1,), "b") == (1, 2)
+    assert F2.act_word((), "a") == (1,)
+    assert F2.act_word((1,), "A") == ()
+    assert F2.act_word((1,), "b") == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +136,8 @@ def test_generator_inverse_round_trip(factory):
     for _ in range(1000):
         x = random_point(action, rng)
         g = rng.choice(action.generators)
-        y = action.act(x, g)
-        assert action.act(y, action.inverses[g]) == x
+        y = action.act_word(x, g)
+        assert action.act_word(y, action.inverses[g]) == x
 
 
 @pytest.mark.parametrize(
@@ -156,7 +155,7 @@ def test_words_take_valid_points_to_valid_points(action):
         assert action.validate(y)
         stepped = x
         for g in word:
-            stepped = action.act(stepped, g)  # checks the point at every step
+            stepped = action.act_word(stepped, g)  # one generator per call: each point is checked
         assert y == stepped
 
 
@@ -194,7 +193,7 @@ def test_lamplighter_associativity_against_the_group_law():
         x = random_point(L, rng)
         g = rng.choice(L.generators)
         h = rng.choice(L.generators)
-        stepped = L.act(L.act(x, g), h)
+        stepped = L.act_word(L.act_word(x, g), h)
         gh = lamp_multiply(gens[g], gens[h])
         assert stepped == lamp_multiply(x, gh)
 
@@ -234,7 +233,7 @@ def test_negative_radius():
 def test_lamp_box_is_closed_under_the_lamp_generator():
     for n in (1, 2, 3, 4):
         box = set(family_generate("lamp-box", n))
-        assert {L.act(x, "b") for x in box} == box
+        assert {L.act_word(x, "b") for x in box} == box
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +282,8 @@ def test_finite_action_from_json(tmp_path):
     path = tmp_path / "perm.json"
     path.write_text(json.dumps(doc))
     action = permutation_action_from_json(str(path))
-    assert act(action, 0, "r") == 1
-    assert act(action, 0, "r^-1") == 2
+    assert action.act_word(0, "r") == 1
+    assert action.act_word(0, "r^-1") == 2
     orbit = ball(action, 0, 5)
     assert orbit == (0, 1, 2)
 

@@ -28,8 +28,10 @@ from amenability import (
     zero_subspace,
     family_generate,
     align_pair,
+    set_to_subspace,
+    subspace_from_json,
+    subspace_to_json,
 )
-from amenability.linalg import _rref_mod_p, _rref_rational
 
 GF5 = gf(5)
 
@@ -327,7 +329,8 @@ def test_quotient_zero_iff_contained():
             list(range(n)),
             field,
         )
-        assert (quotient_dim(F, G) == 0) == contains_subspace(G, F)
+        eliminated = all(F.contains_vector(row) for row in G.basis_rows())  # no sum involved
+        assert (quotient_dim(F, G) == 0) == contains_subspace(G, F) == eliminated
 
 
 @settings(max_examples=40, deadline=None)
@@ -522,10 +525,16 @@ def mod_p_cases():
 
 @pytest.mark.parametrize("p, rows", list(mod_p_cases()))
 def test_rref_mod_p_matches_the_per_column_reference(p, rows):
-    got, rank, pivots = _rref_mod_p(np.array(rows, dtype=np.int64) % p, p)
+    got, rank, pivots = rref(rows, gf(p))
     want, want_rank, want_pivots = reference_rref_mod_p(rows, p)
     assert (rank, pivots) == (want_rank, want_pivots)
-    assert got.tolist() == want
+    assert [list(row) for row in got] == want
+
+
+@pytest.mark.parametrize("p, rows", list(mod_p_cases()))
+def test_rref_rational_skips_zero_columns_like_the_dense_reference(p, rows):
+    # the same sparse integer matrices, read over Q: the zero-column look-ahead runs there too
+    assert rref(rows, RATIONALS) == reference_rref_rational(rows)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -538,7 +547,7 @@ def test_rref_rational_matches_the_dense_reference(seed):
         for _ in range(m)
     ]
     rows.append([x + y for x, y in zip(rows[0], rows[-1])])  # a dependent row
-    assert _rref_rational(rows) == reference_rref_rational(rows)
+    assert rref(rows, RATIONALS) == reference_rref_rational(rows)
 
 
 LABEL_PAIRS = {
@@ -605,3 +614,78 @@ def test_labels_of_mixed_types_are_a_shape_error():
 def test_unhashable_labels_are_a_shape_error():
     with pytest.raises(ShapeError, match="hashable"):
         subspace_from_rows([(1, 0)], [[1], [2]], GF2)
+
+
+# ---------------------------------------------------------------------------
+# storage: int64 residue arrays over GF(p), Fraction tuples over Q
+
+
+def stored_subspaces(field):
+    """One subspace from every constructor, named."""
+    labels = ["a", "b", "c", "d"]
+    ints = [[1, 2, 0, 1], [0, 1, 1, 2], [1, 3, 1, 3]]
+    yield "lists", subspace_from_rows(ints, labels[::-1], field)
+    yield "int64 array", subspace_from_rows(np.array(ints, dtype=np.int64), labels, field)
+    yield "int8 array", subspace_from_rows(np.array(ints, dtype=np.int8), labels[::-1], field)
+    yield "strings", subspace_from_rows([[str(x) for x in row] for row in ints], labels, field)
+    yield "Fractions", subspace_from_rows([[Fraction(2 * x, 2) for x in row] for row in ints], labels, field)
+    yield "no rows", subspace_from_rows([], labels, field)
+    yield "zero rows", subspace_from_rows([[0, 0, 0, 0]], labels, field)
+    E = subspace_from_rows([[1, 1, 0, 0]], labels, field)
+    F = subspace_from_rows([[0, 1, 1], [2, 0, 1]], ["b", "c", "e"], field)
+    yield "sum", subspace_sum(E, F)
+    yield "sum over equal labels", subspace_sum(E, E)
+    yield "sum with zero", subspace_sum(zero_subspace(labels, field), F)
+    Ea, Fa = align_pair(E, F)
+    yield "aligned first", Ea
+    yield "aligned second", Fa
+    Z = integer_line()
+    I = subspace_from_rows([[1, 1, 0], [0, 1, 2]], [0, 1, 2], field)
+    yield "act by an element", act_subspace(I, Z, "+1")
+    yield "act on zero", act_subspace(zero_subspace([0, 1], field), Z, "-1")
+    yield "act by a combination", act_subspace(I, Z, FormalCombination(field, {"+1": 1, "-1": 2}))
+    yield "act by the zero combination", act_subspace(I, Z, FormalCombination(field, {}))
+    yield "lamp-span", family_generate("lamp-span", 3, field)
+    yield "z-interval-span", family_generate("z-interval-span", 3, field)
+    yield "set_to_subspace", set_to_subspace([3, 1, 2], field)
+    yield "subspace_from_json", subspace_from_json(subspace_to_json(subspace_sum(E, F)))
+
+
+def assert_stored_canonically(space):
+    n = len(space.labels)
+    if space.field.characteristic == 0:
+        assert type(space.basis) is tuple
+        for row in space.basis:
+            assert type(row) is tuple and len(row) == n
+            assert all(type(x) is Fraction for x in row), row
+    else:
+        b = space.basis
+        assert type(b) is np.ndarray and b.dtype == np.int64
+        assert b.shape == (space.dim, n)
+        assert b.flags.c_contiguous and not b.flags.writeable
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), RATIONALS], ids=["GF2", "GF3", "Q"])
+def test_every_constructor_stores_the_canonical_format(field):
+    for name, space in stored_subspaces(field):
+        try:
+            assert_stored_canonically(space)
+        except AssertionError as exc:
+            raise AssertionError(f"{name}: {exc}") from exc
+
+
+def test_rational_rows_with_fractions_keep_fractions():
+    F = subspace_from_rows([["1/2", 3, Fraction(2, 3)], [np.int64(1), 0, "5"]], ["x", "y", "z"], RATIONALS)
+    assert_stored_canonically(F)
+    assert F.basis_rows()[0][0] == 1
+    assert all(type(x) is Fraction for x in F.reduce_vector([1, 2, 3]))
+
+
+def test_big_integers_are_read_exactly():
+    big = 2**64 + 3  # beyond int64 and uint64
+    F = subspace_from_rows([[big, 1], [2**63, 1]], ["a", "b"], gf(5))
+    assert F == subspace_from_rows([[big % 5, 1], [2**63 % 5, 1]], ["a", "b"], gf(5))
+    U = subspace_from_rows(np.array([[2**63 + 1, 1]], dtype=np.uint64), ["a", "b"], gf(5))
+    assert U.basis_rows() == [[1, (2**63 + 1) % 5]]  # not wrapped to a negative int64
+    Q = subspace_from_rows(np.array([[2**63, 1]], dtype=np.uint64), ["a", "b"], RATIONALS)
+    assert Q.basis == ((Fraction(1), Fraction(1, 2**63)),)

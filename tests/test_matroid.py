@@ -355,5 +355,19 @@ def test_greedy_accepts_every_kind_of_real():
         [Fraction(3), Fraction(1, 2), 2],
         np.array([3.0, 1.0, 2.0]),
         [10**400, 1, 2],
+        iter([3, 1, 2]),
+        (w for w in (3, 1, 2)),
+        {"x": 3, "y": 1, "z": 2}.values(),
     ):
         assert greedy_min_basis(M, weights) == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [3, None, 2.5, iter([1, 2]), iter([1, 2, 3, 4]), (w for w in ())],
+    ids=["int", "none", "float", "short-iterator", "long-iterator", "empty-generator"],
+)
+def test_greedy_weights_must_be_one_per_label(weights):
+    M = make([(1, 0, 1), (0, 1, 1)], [1, 2, 3])
+    with pytest.raises(ShapeError):
+        greedy_min_basis(M, weights)
