@@ -84,11 +84,6 @@ class GroupAction:
             point = self.apply(point, g)
         return point
 
-    def inverse_word(self, word) -> tuple:
-        if isinstance(word, str):
-            word = (word,)
-        return tuple(self.inverses[g] for g in reversed(word))
-
 
 # ---------------------------------------------------------------------------
 # built-in actions

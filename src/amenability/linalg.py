@@ -63,10 +63,16 @@ class FieldSpec:
             if isinstance(value, (int, np.integer)):
                 return Fraction(int(value))
             if isinstance(value, str):
-                return Fraction(value)
+                try:
+                    return Fraction(value)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ShapeError(f"cannot interpret {value!r} as a rational") from exc
             raise ShapeError(f"cannot interpret {value!r} as a rational")
         if isinstance(value, str):
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError as exc:
+                raise ShapeError(f"cannot interpret {value!r} over GF({self.characteristic})") from exc
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise ShapeError(f"{value} is not integral over GF({self.characteristic})")
@@ -267,7 +273,10 @@ class LabeledSubspace:
 
     def pivot_columns(self) -> tuple:
         """Column index of each row's leading 1."""
-        return tuple(int(np.flatnonzero(row)[0]) for row in self._array)
+        if isinstance(self.basis, np.ndarray):
+            return tuple(int(np.flatnonzero(row)[0]) for row in self.basis)
+        # a rational row is a tuple of Fractions: stop at its first nonzero
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def label_index(self) -> dict:
         return {lbl: j for j, lbl in enumerate(self.labels)}

@@ -7,9 +7,8 @@ the bases is the hot loop of the Steiner-point sampler, so independence
 testing runs on cached per-column data: bitmasks over GF(2), residues
 mod p otherwise.  Rational subspaces are reduced mod a prime exceeding
 the Hadamard bound on their minors, which preserves the matroid exactly.
-On at most ``TABLE_LABELS`` labels a kernel also keeps a table of which
-label subsets are independent, which the sampler reads for whole blocks
-of directions at once.
+For the sampler a kernel also runs greedy on a whole block of orders
+at once, as numpy steps over per-row echelon slots of residues mod p.
 """
 
 from __future__ import annotations
@@ -44,94 +43,79 @@ from .linalg import (
 Basis = tuple  # a sorted tuple of labels
 
 
-TABLE_LABELS = 16  # kernels on at most this many labels keep an independence table
-
-
 class _Kernel:
     """Greedy over a matroid's columns, for one order or for many at once.
 
     A field kernel supplies ``greedy(order)``: the labels greedy keeps
     scanning ``order``, sorted, stopping once it holds ``rank`` of them.
-    On at most ``TABLE_LABELS`` labels the kernel also keeps ``table``:
-    ``table[mask]`` records whether the labels in the bitmask ``mask``
-    are independent (1 yes, 0 no, -1 not known yet).  It is a pure
-    function of the matroid, filled on demand by exact elimination, and
-    lives as long as the kernel, so every sampler call on one matroid
-    shares it.
+    The base keeps each column's residues mod ``p`` as one ``(n, rank)``
+    array for ``greedy_rows``: int64 when ``p < 2**31``, so a product of
+    two residues stays below 2**62, and Python ints otherwise.
     """
 
-    __slots__ = ("cols", "rank", "table")
+    __slots__ = ("cols", "rank", "p", "residues")
 
-    def __init__(self, cols, d):
-        self.cols = cols
+    def __init__(self, columns, d, p):
+        self.cols = columns
         self.rank = d
-        n = len(cols)
-        self.table = np.full(1 << n, -1, dtype=np.int8) if n <= TABLE_LABELS else None
+        self.p = p
+        dtype = np.int64 if p < 1 << 31 else object
+        self.residues = np.array(columns, dtype=dtype).reshape(len(columns), d)
 
     def rank_of(self, indices) -> int:
         # greedy stops once it holds d labels, and no rank exceeds d
         return len(self.greedy(indices))
 
-    def greedy_rows(self, order: np.ndarray, samples: int) -> np.ndarray:
+    def greedy_rows(self, order: np.ndarray) -> np.ndarray:
         """Greedy basis for each row of a 2-D order array, as ascending label indices.
 
-        ``samples`` is how many orders the whole run reads.  With a table,
-        greedy runs for all rows at once: step t offers each row its t-th
-        label, as a bit added to the int64 mask of the labels the row
-        kept, and the table says whether the larger set is still
-        independent.  Rows that hold a basis take no further part.  A set
-        the table does not know yet is settled by following one row that
-        offers it to the end of its greedy run, recording every set
-        offered on the way.  Otherwise, and when the run is too short for
-        the table to pay off, this is ``greedy`` row by row.
+        Greedy runs for all rows at once, as one Gaussian elimination per
+        row.  A row keeps d echelon slots: slot j is empty or holds a kept
+        column reduced to start at coordinate j, with ``lead[j]`` its value
+        there (1 while empty, so an empty slot changes nothing).  Step t
+        offers each live row its t-th label and clears the column's
+        coordinates j = 0..d-1 in turn by ``c * lead[j] - c[j] * slot[j]``,
+        which needs no inverses.  A nonzero remainder is independent of
+        the kept columns and fills the slot at its first nonzero
+        coordinate.  Rows that hold a basis take no further part.
         """
         rows, n = order.shape
-        d = self.rank
-        # Greedy only asks about a kept set of fewer than d labels plus one
-        # more label: at most n * sum_{k<d} C(n-1, k) sets.  Measured, the
-        # table wins once there are at most about 8 of them per sample.
-        if self.table is None or n * sum(math.comb(n - 1, k) for k in range(d)) > 8 * samples:
-            kept = [self.greedy(row.tolist()) for row in order]
-            return np.array(kept, dtype=np.int64).reshape(rows, d)
-        table = self.table
-        kept = np.zeros(rows, dtype=np.int64)
+        d, p, residues = self.rank, self.p, self.residues
+        # Each slot cleared grows an entry at most 2(p - 1)-fold, so int64
+        # holds ``every`` clearings between two reductions mod p.
+        bits = (p - 1).bit_length()
+        every = 1 if residues.dtype == object else (63 - bits) // (bits + 1)
+        out = np.empty((rows, d), dtype=np.int64)
+        live = np.arange(rows)
+        slots = np.zeros((rows, d, d), dtype=residues.dtype)
+        lead = np.ones((rows, d), dtype=residues.dtype)
+        kept = np.empty((rows, d), dtype=np.int64)
         size = np.zeros(rows, dtype=np.int64)
-        for t, bit in enumerate(np.left_shift(1, order.T, dtype=np.int64)):
-            open_ = size < d
-            if not open_.any():
+        for t in range(n):
+            if not live.size or not d:
                 break
-            cand = np.where(open_, kept | bit, kept)
-            found = table[cand]
-            missing = np.flatnonzero(found < 0)
-            if missing.size:
-                _, first = np.unique(cand[missing], return_index=True)
-                for i in missing[first].tolist():
-                    self._record_run(int(kept[i]), order[i, t:].tolist())
-                found = table[cand]
-            take = open_ & (found == 1)
-            kept = np.where(take, cand, kept)
-            size += take
-        bits = np.unpackbits(
-            kept.astype("<i8").view(np.uint8).reshape(rows, 8), axis=1, count=n, bitorder="little"
-        )
-        return np.nonzero(bits)[1].reshape(rows, d)
-
-    def _record_run(self, kept: int, rest: list) -> None:
-        """Record in the table each set greedy meets going on from ``kept`` along ``rest``."""
-        members = [j for j in range(len(self.cols)) if kept >> j & 1]
-        # kept is independent, so greedy keeps all of it before reading rest
-        chosen = set(self.greedy(members + rest))
-        size = len(members)
-        met = {}
-        for idx in rest:
-            if size == self.rank:
-                break
-            cand = kept | 1 << idx
-            met[cand] = idx in chosen
-            if met[cand]:
-                kept = cand
-                size += 1
-        self.table[list(met)] = list(met.values())
+            label = order[live, t]
+            c = residues[label]
+            for j in range(d if t else 0):  # every slot is empty at t = 0
+                c = c * lead[:, j, None] - c[:, j, None] * slots[:, j]
+                if j % every == every - 1 or j == d - 1:
+                    c %= p
+            nonzero = c != 0
+            new = np.flatnonzero(nonzero.any(axis=1))
+            pos = nonzero[new].argmax(axis=1)
+            slots[new, pos] = c[new]
+            lead[new, pos] = c[new, pos]
+            kept[new, pos] = label[new]
+            size[new] += 1
+            if new.size and size[new].max() == d:
+                done = size == d
+                out[live[done]] = kept[done]
+                keep = ~done
+                live, slots, lead, kept, size = (
+                    a[keep] for a in (live, slots, lead, kept, size)
+                )
+        out.sort(axis=1)
+        return out
 
 
 class _Gf2Kernel(_Kernel):
@@ -140,20 +124,21 @@ class _Gf2Kernel(_Kernel):
     __slots__ = ()
 
     def __init__(self, columns, d):
-        super().__init__([sum(1 << r for r, v in enumerate(col) if v) for col in columns], d)
+        super().__init__(columns, d, 2)
+        self.cols = [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
 
     def greedy(self, order) -> list:
         cols = self.cols
         d = self.rank
-        table = {}
+        pivots = {}
         kept = []
         for idx in order:
             c = cols[idx]
             while c:
                 low = c & (-c)
-                hit = table.get(low)
+                hit = pivots.get(low)
                 if hit is None:
-                    table[low] = c
+                    pivots[low] = c
                     kept.append(idx)
                     break
                 c ^= hit
@@ -166,11 +151,7 @@ class _Gf2Kernel(_Kernel):
 class _ModPKernel(_Kernel):
     """Columns as residue tuples mod p; incremental Gaussian elimination."""
 
-    __slots__ = ("p",)
-
-    def __init__(self, cols, d, p):
-        super().__init__(cols, d)
-        self.p = p
+    __slots__ = ()
 
     def greedy(self, order) -> list:
         cols = self.cols

@@ -16,12 +16,10 @@ sample i depends only on (seed, i) and never on scheduling or worker
 count.  Every sampling entry point goes through one driver,
 ``_shared_kept``: per chunk of 512 directions it argsorts the block once
 and hands the orders to each matroid's kernel, which runs greedy for all
-of them together (as numpy steps over an independence table on at most
-``matroid.TABLE_LABELS`` labels when the run is long enough for the
-table to pay off, order by order otherwise).  Greedy depends only on
-the matroid and the order, so both give the same bases.
-``AMEN_THREADS`` sets how many threads map the chunks; results are
-identical for any value.
+of them together as one batched elimination over residues mod p, the
+same on every field and every number of labels.  The kernels keep no
+state between calls, so ``AMEN_THREADS`` threads can map the chunks;
+results are identical for any value.
 """
 
 from __future__ import annotations
@@ -83,8 +81,8 @@ class DirectionSampler:
         key = np.array([self.seed, c], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         raw = gen.standard_normal((CHUNK, self.dimension))
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        return raw / norms
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        return raw
 
     def directions(self, start: int, stop: int) -> np.ndarray:
         """Rows start..stop-1 of the sample stream."""
@@ -128,9 +126,6 @@ class SteinerEstimate:
     def coordinate(self, label) -> Fraction:
         return self.vector[self.labels.index(label)]
 
-    def as_mapping(self) -> dict:
-        return dict(zip(self.labels, self.vector))
-
 
 def _shared_kept(kernels, N: int, seed: int):
     """Greedy bases of each kernel over samples 0..N-1 of one direction stream.
@@ -144,7 +139,7 @@ def _shared_kept(kernels, N: int, seed: int):
     def run_chunk(c: int) -> list:
         block = sampler.chunk(c)[: N - c * CHUNK]
         order = np.argsort(block, axis=1, kind="stable")
-        return [kernel.greedy_rows(order, N) for kernel in kernels]
+        return [kernel.greedy_rows(order) for kernel in kernels]
 
     chunks = range((N + CHUNK - 1) // CHUNK)
     workers = _worker_count()

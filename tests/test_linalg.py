@@ -220,6 +220,13 @@ def test_string_scalars_are_parsed_exactly():
     assert G.basis_rows() == [[Fraction(1), Fraction(2)]]
 
 
+@pytest.mark.parametrize("field", [RATIONALS, GF2], ids=["Q", "GF2"])
+def test_unreadable_string_scalars_are_a_shape_error(field):
+    for text in ("abc", "1/0"):
+        with pytest.raises(ShapeError, match="cannot interpret"):
+            subspace_from_rows([[text, 1]], ["a", "b"], field)
+
+
 # ---------------------------------------------------------------------------
 # subspace construction
 
@@ -689,3 +696,24 @@ def test_big_integers_are_read_exactly():
     assert U.basis_rows() == [[1, (2**63 + 1) % 5]]  # not wrapped to a negative int64
     Q = subspace_from_rows(np.array([[2**63, 1]], dtype=np.uint64), ["a", "b"], RATIONALS)
     assert Q.basis == ((Fraction(1), Fraction(1, 2**63)),)
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), RATIONALS], ids=["GF2", "GF3", "Q"])
+def test_pivot_columns_are_each_rows_first_nonzero(field):
+    # the reference scans each whole row of the dense array
+    rng = random.Random(29)
+    lamp = family_generate("lamp-span", 5, field)
+    spaces = [
+        lamp,
+        subspace_sum(lamp, act_subspace(lamp, lamplighter(), "+1")),
+        zero_subspace([1, 2, 3], field),
+        subspace_from_rows([[0, 0, 0, 1]], [1, 2, 3, 4], field),
+    ]
+    for _ in range(20):
+        n = rng.randrange(1, 9)
+        rows = [[rng.choice([0, 0, 1, 2]) for _ in range(n)] for _ in range(rng.randrange(4))]
+        spaces.append(subspace_from_rows(rows, list(range(n)), field))
+    for sp in spaces:
+        expected = tuple(int(np.flatnonzero(row)[0]) for row in sp._array)
+        assert sp.pivot_columns() == expected
+        assert list(expected) == sorted(set(expected))

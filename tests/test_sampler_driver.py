@@ -1,8 +1,9 @@
 """The shared-direction driver against per-sample greedy.
 
-Batched greedy reads the kernel's independence table; the reference
-here draws the same directions, argsorts each row on its own and runs
-the kernel's one-order ``greedy``, as the sampler did sample by sample.
+Batched greedy runs one elimination over residues mod p for a whole
+chunk of orders; the reference here draws the same directions, argsorts
+each row on its own and runs the kernel's one-order ``greedy``, as the
+sampler did sample by sample.
 """
 
 import random
@@ -21,15 +22,16 @@ from amenability import (
     coupled_nested_estimate,
     estimate_steiner,
     exterior_angles,
+    family_generate,
     gf,
     minkowski_combination_check,
     subspace_from_rows,
 )
-from amenability.matroid import TABLE_LABELS
 from amenability.steiner import _tally, angles_from_hits
 from test_matroid import random_nested_pair
 
-FIELDS = {"gf2": GF2, "gf3": gf(3), "gf31": gf(31), "q": RATIONALS}
+# gfmax is the largest prime field: products of residues come within 2^62
+FIELDS = {"gf2": GF2, "gf3": gf(3), "gf31": gf(31), "gfmax": gf(2**31 - 1), "q": RATIONALS}
 
 
 def matroid_with_loops_and_parallels(rng, field, n, d):
@@ -54,15 +56,22 @@ def reference_hits(M, N, seed):
     return dict(sorted(hits.items()))
 
 
-@pytest.mark.parametrize("n", [5, TABLE_LABELS, TABLE_LABELS + 1])
+def full_rank_matroid(rng, field, n, d, entries):
+    """Random d x n rows drawn from ``entries``, redrawn until they have rank d."""
+    while True:
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(d)]
+        sp = subspace_from_rows(rows, list(range(n)), field)
+        if sp.dim == d:
+            return SubspaceMatroid(sp)
+
+
+@pytest.mark.parametrize("n", [5, 16, 17])
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_driver_hits_equal_per_sample_greedy(name, n):
     rng = random.Random(f"{name}-{n}")
     M = matroid_with_loops_and_parallels(rng, FIELDS[name], n, rng.randrange(2, 5))
     N, seed = 1300, rng.randrange(1 << 32)  # two full chunks and a partial one
     est = estimate_steiner(M, N, seed)
-    table = M._kernel.table
-    assert (table is not None and (table >= 0).any()) == (n <= TABLE_LABELS)
     assert est.per_vertex_hits == reference_hits(M, N, seed)
     assert sum(est.per_vertex_hits.values()) == N
 
@@ -70,22 +79,34 @@ def test_driver_hits_equal_per_sample_greedy(name, n):
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_greedy_rows_equal_greedy_on_seeded_orders(name):
     rng = random.Random(7)
-    for n, d in ((5, 1), (8, 3), (TABLE_LABELS, 5), (TABLE_LABELS, TABLE_LABELS - 3)):
-        kernel = matroid_with_loops_and_parallels(rng, FIELDS[name], n, d)._kernel
+    field = FIELDS[name]
+    small = [0, 1, 2] if field.characteristic != 2 else [0, 1]
+    matroids = [
+        matroid_with_loops_and_parallels(rng, field, n, d)
+        for n, d in ((5, 1), (8, 3), (16, 5), (16, 13))
+    ]
+    matroids += [
+        full_rank_matroid(rng, field, 9, 9, small),  # d = n: every label a coloop
+        full_rank_matroid(rng, field, 12, 1, small),  # d = 1, zeros are loops
+        SubspaceMatroid(family_generate("lamp-span", 8, field)),  # 2048 labels
+    ]
+    if name == "q":  # a Hadamard prime of at least 2^31: residues are Python ints
+        big = full_rank_matroid(rng, field, 10, 4, range(-10**6, 10**6))
+        assert big._kernel.p >= 1 << 31 and big._kernel.residues.dtype == object
+        matroids.append(big)
+    for M in matroids:
+        kernel = M._kernel
+        n = len(M.labels)
         orders = np.array([rng.sample(range(n), n) for _ in range(300)])
         expected = [kernel.greedy(row) for row in orders.tolist()]
-        assert kernel.greedy_rows(orders, 1).tolist() == expected  # order by order
-        for _ in range(2):  # a run long enough for the table: cold, then warm
-            assert kernel.greedy_rows(orders, 1 << 40).tolist() == expected
-        assert (kernel.table >= 0).any()
+        assert kernel.greedy_rows(orders).tolist() == expected
 
 
-def test_a_shared_table_gives_the_hits_of_a_fresh_one():
+def test_a_kernel_carries_no_state_between_calls():
     rng = random.Random(11)
     for name in sorted(FIELDS):
         M = matroid_with_loops_and_parallels(rng, FIELDS[name], 9, 3)
         est = estimate_steiner(M, 2000, 5)
-        assert (M._kernel.table >= 0).any()
         fresh = SubspaceMatroid(M.space)
         assert exterior_angles(M, 2000, 5) == exterior_angles(fresh, 2000, 5)
         assert angles_from_hits(M, est.per_vertex_hits, 2000) == exterior_angles(fresh, 2000, 5)
@@ -109,7 +130,7 @@ def test_nesting_is_checked_on_every_sample():
 
 
 def test_thread_counts_give_identical_results(monkeypatch):
-    # cold tables each time, filled by four threads with frequent switches
+    # fresh matroids each time, shared by four threads with frequent switches
     rng = random.Random(17)
     spaces = [
         matroid_with_loops_and_parallels(rng, FIELDS[name], 10, 3).space for name in sorted(FIELDS)
