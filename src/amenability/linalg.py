@@ -11,21 +11,26 @@ for Q.  Only its pivot inverse and its ``% p`` depend on the field.
 ``_to_array`` turns any rows into that array and ``_to_basis`` turns a
 reduced array into the stored basis: a read-only C-contiguous int64
 array over GF(p), a tuple of Fraction tuples over Q.
+
+Primes come from ``_is_prime`` (deterministic Miller-Rabin), which
+checks every characteristic, and ``_prime_above``, which gives the
+matroid kernel of a rational subspace a prime above its Hadamard bound.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from sympy import isprime
 
 from .errors import (
     DomainError,
     FieldMismatchError,
+    InternalInvariantError,
     InvalidFieldError,
     ShapeError,
 )
@@ -34,6 +39,73 @@ Label = Any  # hashable, totally ordered point encoding
 Scalar = Any  # int for GF(p), Fraction for the rationals
 
 _MAX_PRIME = 2**31
+
+# No composite below _MR_EXACT_BELOW is a strong probable prime to all of
+# the first 13 prime bases (Sorenson and Webster, Math. Comp. 2017); the
+# bound itself is one.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+_MR_BASES_PRODUCT = math.prod(_MR_BASES)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin over the bases ``_MR_BASES``.
+
+    Exact below ``_MR_EXACT_BELOW``.  From there on a witness still
+    proves n composite, but passing every base proves nothing, and that
+    case raises ``ValueError``.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is a strong probable prime to every base, which proves nothing")
+    return True
+
+
+def _prime_above(b: int) -> int:
+    """A proven prime above b.
+
+    Below ``_MR_EXACT_BELOW`` this is the smallest prime above b.  From
+    there on it is the first prime N = k 2^m + 1 above b, with k odd and
+    m = L // 2 + 1 for L the bit length of the walk's end, so k < 2^m.
+    By Proth's theorem (1878) such an N is prime iff a^((N-1)/2) = -1
+    mod N for some a; one of ``_MR_BASES`` giving -1 is the certificate,
+    one giving neither 1 nor -1 proves N composite, and an N on which
+    every base gives 1 is passed over.
+    """
+    n = b + 1
+    while n < _MR_EXACT_BELOW:
+        if _is_prime(n):
+            return n
+        n += 1
+    m = n.bit_length() // 2 + 1
+    first = -(-(n - 1) >> m) | 1  # the least odd k with k 2^m + 1 >= n, below 2^(m-1) + 2
+    for k in range(first, 1 << m, 2):
+        N = (k << m) + 1
+        if math.gcd(N, _MR_BASES_PRODUCT) != 1:
+            continue
+        for a in _MR_BASES:
+            x = pow(a, N >> 1, N)
+            if x == N - 1:
+                return N
+            if x != 1:
+                break
+    raise InternalInvariantError(f"no Proth prime k 2^{m} + 1 above {b}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +118,7 @@ class FieldSpec:
         c = self.characteristic
         if c == 0:
             return
-        if not isinstance(c, int) or c < 2 or c >= _MAX_PRIME or not isprime(c):
+        if not isinstance(c, int) or c < 2 or c >= _MAX_PRIME or not _is_prime(c):
             raise InvalidFieldError(
                 f"characteristic must be 0 or a prime below 2**31, got {c!r}"
             )
@@ -89,9 +161,6 @@ class FieldSpec:
             f = Fraction(value)
             return f"{f.numerator}/{f.denominator}"
         return str(int(value))
-
-    def parse_scalar(self, text) -> Scalar:
-        return self.coerce(Fraction(text) if self.is_rational else int(text))
 
 
 RATIONALS = FieldSpec(0)
@@ -528,7 +597,7 @@ def subspace_from_json(obj: Mapping) -> LabeledSubspace:
     try:
         fld = FieldSpec(int(obj["field"]["char"]))
         labels = [_decode_label(x) for x in obj["labels"]]
-        rows = [[fld.parse_scalar(x) for x in row] for row in obj["rows"]]
+        rows = [[fld.coerce(x) for x in row] for row in obj["rows"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed subspace document: {exc}") from exc
     return subspace_from_rows(rows, labels, fld)

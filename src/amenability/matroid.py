@@ -4,11 +4,13 @@ A label set S is independent when the columns it indexes are linearly
 independent; the bases (|S| = dim) are exactly the coordinate sets onto
 which the subspace projects isomorphically.  Greedy minimization over
 the bases is the hot loop of the Steiner-point sampler, so independence
-testing runs on cached per-column data: bitmasks over GF(2), residues
-mod p otherwise.  Rational subspaces are reduced mod a prime exceeding
-the Hadamard bound on their minors, which preserves the matroid exactly.
-For the sampler a kernel also runs greedy on a whole block of orders
-at once, as numpy steps over per-row echelon slots of residues mod p.
+testing runs on each column's residues mod a prime p, kept once per
+matroid: p is the characteristic over GF(p), with bitmasks over GF(2).
+A rational subspace is scaled row by row to integers and reduced mod
+``linalg._prime_above`` of the Hadamard bound on its minors, a proven
+prime, which preserves the matroid exactly.  For the sampler a kernel
+also runs greedy on a whole block of orders at once, as numpy steps
+over per-row echelon slots of residues mod p.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
-from sympy import nextprime
 
 from .errors import (
     CapacityError,
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .linalg import (
     LabeledSubspace,
+    _prime_above,
     _rref,
     _to_array,
     align_pair,
@@ -44,13 +46,13 @@ Basis = tuple  # a sorted tuple of labels
 
 
 class _Kernel:
-    """Greedy over a matroid's columns, for one order or for many at once.
+    """Greedy over a matroid's columns mod a prime p, for one order or for many at once.
 
-    A field kernel supplies ``greedy(order)``: the labels greedy keeps
-    scanning ``order``, sorted, stopping once it holds ``rank`` of them.
-    The base keeps each column's residues mod ``p`` as one ``(n, rank)``
-    array for ``greedy_rows``: int64 when ``p < 2**31``, so a product of
-    two residues stays below 2**62, and Python ints otherwise.
+    ``greedy(order)`` returns the labels greedy keeps scanning ``order``,
+    sorted, stopping once it holds ``rank`` of them.  Each column's
+    residues are also kept as one ``(n, rank)`` array for
+    ``greedy_rows``: int64 when ``p < 2**31``, so a product of two
+    residues stays below 2**62, and Python ints otherwise.
     """
 
     __slots__ = ("cols", "rank", "p", "residues")
@@ -61,6 +63,29 @@ class _Kernel:
         self.p = p
         dtype = np.int64 if p < 1 << 31 else object
         self.residues = np.array(columns, dtype=dtype).reshape(len(columns), d)
+
+    def greedy(self, order) -> list:
+        """Incremental Gaussian elimination on residue lists."""
+        cols = self.cols
+        d = self.rank
+        p = self.p
+        pivots = []
+        kept = []
+        for idx in order:
+            c = list(cols[idx])
+            for pos, row in pivots:
+                f = c[pos]
+                if f:
+                    c = [(a - f * b) % p for a, b in zip(c, row)]
+            pos = next((j for j, x in enumerate(c) if x), -1)
+            if pos >= 0:
+                inv = pow(c[pos], -1, p)
+                pivots.append((pos, [(x * inv) % p for x in c]))
+                kept.append(idx)
+                if len(kept) == d:
+                    break
+        kept.sort()
+        return kept
 
     def rank_of(self, indices) -> int:
         # greedy stops once it holds d labels, and no rank exceeds d
@@ -119,12 +144,12 @@ class _Kernel:
 
 
 class _Gf2Kernel(_Kernel):
-    """Columns as bitmasks; elimination by XOR."""
+    """Over GF(2), ``greedy`` runs on columns as bitmasks, eliminating by XOR."""
 
     __slots__ = ()
 
-    def __init__(self, columns, d):
-        super().__init__(columns, d, 2)
+    def __init__(self, columns, d, p):
+        super().__init__(columns, d, p)
         self.cols = [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
 
     def greedy(self, order) -> list:
@@ -148,49 +173,6 @@ class _Gf2Kernel(_Kernel):
         return kept
 
 
-class _ModPKernel(_Kernel):
-    """Columns as residue tuples mod p; incremental Gaussian elimination."""
-
-    __slots__ = ()
-
-    def greedy(self, order) -> list:
-        cols = self.cols
-        d = self.rank
-        p = self.p
-        pivots = []
-        kept = []
-        for idx in order:
-            c = list(cols[idx])
-            for pos, row in pivots:
-                f = c[pos]
-                if f:
-                    c = [(a - f * b) % p for a, b in zip(c, row)]
-            pos = next((j for j, x in enumerate(c) if x), -1)
-            if pos >= 0:
-                inv = pow(c[pos], -1, p)
-                pivots.append((pos, [(x * inv) % p for x in c]))
-                kept.append(idx)
-                if len(kept) == d:
-                    break
-        kept.sort()
-        return kept
-
-
-def _rational_kernel(basis, d, n) -> _ModPKernel:
-    # Clear denominators row by row (row scaling keeps the column matroid),
-    # then reduce mod a prime larger than any d x d minor can be in absolute
-    # value (Hadamard bound), so nonzero minors stay nonzero mod p.
-    int_rows = []
-    for row in basis:
-        denom = math.lcm(*(x.denominator for x in row)) if row else 1
-        int_rows.append([int(x * denom) for x in row])
-    big = max((abs(x) for row in int_rows for x in row), default=1) or 1
-    bound = math.isqrt((d * big * big) ** d) + 1
-    p = int(nextprime(bound))
-    cols = [tuple(int_rows[r][j] % p for r in range(d)) for j in range(n)]
-    return _ModPKernel(cols, d, p)
-
-
 @dataclass(frozen=True)
 class SubspaceMatroid:
     """The column matroid of a labeled subspace."""
@@ -211,18 +193,25 @@ class SubspaceMatroid:
 
     @cached_property
     def _kernel(self):
-        d = self.space.dim
-        char = self.space.field.characteristic
-        n = len(self.space.labels)
-        if char == 0:
-            return _rational_kernel(self.space.basis, d, n)
-        if d:
-            columns = self.space.basis.T.tolist()
+        space = self.space
+        d = space.dim
+        p = space.field.characteristic
+        if p:
+            rows = space.basis.tolist()
         else:
-            columns = [[] for _ in range(n)]
-        if char == 2:
-            return _Gf2Kernel(columns, d)
-        return _ModPKernel([tuple(col) for col in columns], d, char)
+            # Clear denominators row by row (row scaling keeps the column
+            # matroid), then reduce mod a prime larger than any d x d minor
+            # can be in absolute value (Hadamard bound), so nonzero minors
+            # stay nonzero mod p.
+            rows = []
+            for row in space.basis:
+                denom = math.lcm(*(x.denominator for x in row))
+                rows.append([int(x * denom) for x in row])
+            big = max((abs(x) for row in rows for x in row), default=1) or 1
+            p = _prime_above(math.isqrt((d * big * big) ** d) + 1)
+            rows = [[x % p for x in row] for row in rows]
+        columns = list(zip(*rows)) if d else [()] * len(space.labels)
+        return (_Gf2Kernel if p == 2 else _Kernel)(columns, d, p)
 
     def _positions(self, labels: Iterable) -> list:
         idx = self._index

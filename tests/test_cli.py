@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import amenability
 from amenability import (
     GF2,
     RATIONALS,
@@ -136,6 +138,17 @@ def test_matroid_labels_of_mixed_types_give_structured_error(tmp_path, labels, c
     assert code == 1
     assert json.loads(out)["error"] == {
         "type": "ShapeError", "message": "labels must be mutually comparable",
+    }
+
+
+def test_matroid_float_entries_give_structured_error(tmp_path, capsys):
+    # 1.5 was once truncated to 1 over GF(2)
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"field": {"char": 2}, "labels": [0, 1], "rows": [[1.5, 1]]}))
+    code, out = run_cli(capsys, "matroid", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ShapeError", "message": "cannot interpret 1.5 over GF(2)",
     }
 
 
@@ -277,6 +290,16 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["profile", "--mode", "bogus"])
     assert info.value.code == 2
+
+
+def test_import_loads_no_sympy():
+    src = os.path.dirname(os.path.dirname(amenability.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, amenability; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_script_help():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from amenability import (
     subspace_from_json,
     subspace_to_json,
 )
+from amenability.linalg import _MR_EXACT_BELOW, _is_prime, _prime_above
 
 GF5 = gf(5)
 
@@ -180,6 +182,60 @@ def test_rref_rejects_non_prime_characteristic():
         FieldSpec(6)
     with pytest.raises(InvalidFieldError):
         gf(2**31 + 11)
+
+
+# ---------------------------------------------------------------------------
+# primes
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+    assert [_is_prime(i) for i in range(-3, n)] == [False] * 3 + sieve
+
+
+def test_is_prime_rejects_the_strong_pseudoprimes_to_the_first_bases():
+    # the least strong pseudoprime to the first 1, 2, ..., 12 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    # the least one to all 13 bases: no proof either way, so no answer
+    assert _MR_EXACT_BELOW == 3317044064679887385961981
+    with pytest.raises(ValueError, match="proves nothing"):
+        _is_prime(_MR_EXACT_BELOW)
+    assert not _is_prime(_MR_EXACT_BELOW * 3)  # a witness is still a proof
+
+
+def test_is_prime_accepts_mersenne_primes():
+    assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
+    assert not _is_prime(2**29 - 1)
+
+
+def test_prime_above_is_the_next_prime_below_the_bound():
+    assert _prime_above(2**31 - 1) == 2147483659
+    assert _prime_above(10**12) == 1000000000039
+    assert [_prime_above(b) for b in range(-2, 14)] == [2, 2, 2, 2, 3, 5, 5, 7, 7, 11, 11, 11, 11, 13, 13, 17]
+
+
+@pytest.mark.parametrize("b", [_MR_EXACT_BELOW - 100, 10**30, 3**300])
+def test_prime_above_the_bound_carries_a_proth_certificate(b):
+    # The walk stops at the bound: the next prime after the first b lies above it.
+    N = _prime_above(b)
+    assert N > b and N.bit_length() == max(b + 1, _MR_EXACT_BELOW).bit_length()
+    m = ((N - 1) & (1 - N)).bit_length() - 1
+    k = (N - 1) >> m
+    assert k % 2 == 1 and k < 2**m
+    assert any(pow(a, (N - 1) // 2, N) == N - 1 for a in range(2, 42))
+
+
+def test_field_characteristics_are_primes_below_2_to_the_31():
+    for bad in (1, 4, 2147483659, 2**31, -3, 2.0):
+        with pytest.raises(InvalidFieldError):
+            FieldSpec(bad)
+    assert FieldSpec(2**31 - 1).characteristic == 2**31 - 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,6 +500,17 @@ def test_json_round_trip_tuple_labels():
     G = load_subspace(dump_subspace(F))
     assert G.dim == 1
     assert [tuple(lbl) for lbl in G.labels] == [tuple(lbl) for lbl in F.labels]
+
+
+@pytest.mark.parametrize(
+    "char, value",
+    [(2, 1.5), (2, 1.0), (5, "abc"), (0, 0.1), (0, "abc"), (0, None)],
+)
+def test_json_scalars_are_read_exactly_or_refused(char, value):
+    # floats were truncated over GF(p) and read as binary fractions over Q
+    doc = {"field": {"char": char}, "labels": [0, 1], "rows": [[value, 1]]}
+    with pytest.raises(ShapeError, match="cannot interpret"):
+        subspace_from_json(doc)
 
 
 def test_json_rationals_are_num_den_strings():

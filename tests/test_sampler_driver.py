@@ -9,6 +9,7 @@ sampler did sample by sample.
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ from amenability import (
     exterior_angles,
     family_generate,
     gf,
+    is_basis,
     minkowski_combination_check,
+    rref,
     subspace_from_rows,
 )
+from amenability.linalg import _MR_EXACT_BELOW
 from amenability.steiner import _tally, angles_from_hits
 from test_matroid import random_nested_pair
 
@@ -54,6 +58,12 @@ def reference_hits(M, N, seed):
         kept = M._kernel.greedy(np.argsort(w, kind="stable").tolist())
         hits[tuple(M.labels[j] for j in kept)] += 1
     return dict(sorted(hits.items()))
+
+
+def identity_block_matroid(rng, n, d, entries):
+    """Rows [I | B] over Q, B drawn from ``entries``: the basis is integral as stored."""
+    rows = [[int(i == j) for j in range(d)] + [rng.choice(entries) for _ in range(n - d)] for i in range(d)]
+    return SubspaceMatroid(subspace_from_rows(rows, list(range(n)), RATIONALS))
 
 
 def full_rank_matroid(rng, field, n, d, entries):
@@ -90,16 +100,36 @@ def test_greedy_rows_equal_greedy_on_seeded_orders(name):
         full_rank_matroid(rng, field, 12, 1, small),  # d = 1, zeros are loops
         SubspaceMatroid(family_generate("lamp-span", 8, field)),  # 2048 labels
     ]
-    if name == "q":  # a Hadamard prime of at least 2^31: residues are Python ints
+    if name == "q":  # Hadamard primes of at least 2^31: residues are Python ints
         big = full_rank_matroid(rng, field, 10, 4, range(-10**6, 10**6))
-        assert big._kernel.p >= 1 << 31 and big._kernel.residues.dtype == object
-        matroids.append(big)
+        # entries of at most 10^6 in absolute value: a bound of at most 1.6 * 10^25
+        proth = identity_block_matroid(rng, 10, 4, range(-10**6, 10**6))
+        for M in (big, proth):
+            assert M._kernel.p > _MR_EXACT_BELOW and M._kernel.residues.dtype == object
+        matroids += [big, proth]
     for M in matroids:
         kernel = M._kernel
         n = len(M.labels)
         orders = np.array([rng.sample(range(n), n) for _ in range(300)])
         expected = [kernel.greedy(row) for row in orders.tolist()]
         assert kernel.greedy_rows(orders).tolist() == expected
+
+
+def test_a_proth_prime_kernel_decides_every_basis_like_rref():
+    # A Hadamard bound past the Miller-Rabin range: the kernel's prime is a
+    # Proth prime.  Rank over Q from RREF does not depend on any prime.
+    rng = random.Random(23)
+    rows = [[int(i == j) for j in range(4)] + [rng.randrange(10**6 - 50, 10**6) for _ in range(3)] for i in range(4)]
+    for row in rows:
+        row.append(row[4])  # a parallel pair: some 4-sets are dependent
+    M = SubspaceMatroid(subspace_from_rows(rows, list(range(8)), RATIONALS))
+    assert M._kernel.p > _MR_EXACT_BELOW
+    verdicts = Counter()
+    for S in combinations(range(8), 4):
+        _, rank, _ = rref([[row[j] for j in S] for row in rows], RATIONALS)
+        assert is_basis(M, S) == (rank == 4)
+        verdicts[rank == 4] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_a_kernel_carries_no_state_between_calls():
