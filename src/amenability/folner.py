@@ -90,7 +90,7 @@ def set_report(F: Iterable, S, action: GroupAction) -> FolnerReport:
     union = set(points)
     for key, word in acting:
         translated = {action.act_word(x, word) for x in points}
-        per[key] = Fraction(len(points | translated) - size, size)
+        per[key] = Fraction(len(translated - points), size)
         union |= translated
     return FolnerReport(
         subject=f"set of {size} points under {action.name}",
@@ -178,20 +178,20 @@ def layer_cake(f: WeightedFunction, S, action: GroupAction) -> LayerCakeResult:
     Scans the attained values t of f; the level sets {f >= t} slice f so
     that both its mass and its translation defect are the value-weighted
     sums over slices, hence the best slice is at least as good as f.
+    Each level's symmetric-difference ratios come from its set report:
+    an acting element permutes the points, so #Ls = #L and
+    #(L ^ Ls) = 2 #(Ls - L).  Ties keep the smallest threshold.
     """
-    acting = _normalize_acting(S)
-    thresholds = sorted(set(f.values.values()))
     best = None
-    per_best = {key: None for key, _ in acting}
-    for t in thresholds:
+    per_best = {}
+    for t in sorted(set(f.values.values())):
         level = {x for x, v in f.values.items() if v >= t}
         report = set_report(level, S, action)
         if best is None or report.union_ratio < best[2].union_ratio:
             best = (t, level, report)
-        for key, word in acting:
-            moved = {action.act_word(x, word) for x in level}
-            ratio = Fraction(len(level ^ moved), len(level))
-            if per_best[key] is None or ratio < per_best[key][1]:
+        for key, gain in report.per_generator.items():
+            ratio = 2 * gain
+            if key not in per_best or ratio < per_best[key][1]:
                 per_best[key] = (t, ratio)
     t, level, report = best
     return LayerCakeResult(
@@ -267,17 +267,14 @@ def subspace_to_function(
         raise DegenerateInputError("the zero subspace has no Steiner point")
     est = estimate_steiner(SubspaceMatroid(F), samples, seed)
     f = WeightedFunction.from_estimate(est)
-    acting = _normalize_acting(S)
     certificates = {}
-    sampled = {}
-    norm = f.l1()
-    for key, word in acting:
+    for key, word in _normalize_acting(S):
         Fs = act_subspace(F, action, word)
         merged = subspace_sum(F, Fs)
         certificates[key] = Fraction(
             (merged.dim - F.dim) + (merged.dim - Fs.dim), F.dim
         )
-        sampled[key] = _l1_difference(f, f.translate(action, word)) / norm
+    sampled = function_report(f, S, action)
     tolerance = 8 * est.stderr_bound * len(F.labels) / F.dim
     for key in certificates:
         if float(sampled[key]) > float(certificates[key]) + tolerance:
@@ -310,40 +307,30 @@ def absorb_finite(F_core, U, S, action: GroupAction) -> AbsorbResult:
     (boundary of the core + size of U with its translates) / size of
     the core; the bound is computed exactly and verified.
     """
-    core_is_space = isinstance(F_core, LabeledSubspace)
-    u_is_space = isinstance(U, LabeledSubspace)
-    if core_is_space != u_is_space:
+    if isinstance(F_core, LabeledSubspace) != isinstance(U, LabeledSubspace):
         raise ShapeError("core and absorbed piece must both be sets or both subspaces")
-
-    if core_is_space:
+    if isinstance(F_core, LabeledSubspace):
         if F_core.field != U.field:
             raise ShapeError("core and absorbed piece live over different fields")
-        combined = subspace_sum(F_core, U)
-        report = subspace_report(combined, S, action)
-        core_report = subspace_report(F_core, S, action)
-        u_union = U
-        for _, word in _normalize_acting(S):
-            u_union = subspace_sum(u_union, act_subspace(U, action, word))
-        bound = Fraction(
-            (core_report.union_size - F_core.dim) + u_union.dim, F_core.dim
-        )
+        core, join, report, u_empty = F_core, subspace_sum, subspace_report, U.is_zero
+    else:
+        core, U = set(F_core), set(U)
+        if not core:
+            raise DegenerateInputError("the core must be non-empty")
+        join, report, u_empty = set.union, set_report, not U
+    combined = join(core, U)
+    combined_report = report(combined, S, action)
+    core_report = report(core, S, action)
+    # U with its translates: the union of a report on U, or nothing at all
+    u_union = 0 if u_empty else report(U, S, action).union_size
+    bound = Fraction(
+        (core_report.union_size - core_report.size) + u_union, core_report.size
+    )
+    if isinstance(combined, LabeledSubspace):
         if not contains_subspace(U, combined):
             raise InternalInvariantError("the combined subspace lost the absorbed piece")
     else:
-        core = set(F_core)
-        extra = set(U)
-        if not core:
-            raise DegenerateInputError("the core must be non-empty")
-        combined_set = core | extra
-        report = set_report(combined_set, S, action)
-        core_report = set_report(core, S, action)
-        u_with_translates = set(extra)
-        for _, word in _normalize_acting(S):
-            u_with_translates |= {action.act_word(x, word) for x in extra}
-        bound = Fraction(
-            (core_report.union_size - len(core)) + len(u_with_translates), len(core)
-        )
-        combined = tuple(sorted(combined_set))
-    if report.union_ratio > bound:
+        combined = tuple(sorted(combined))
+    if combined_report.union_ratio > bound:
         raise InternalInvariantError("the absorb bound failed; this should be impossible")
-    return AbsorbResult(report=report, bound=bound, combined=combined)
+    return AbsorbResult(report=combined_report, bound=bound, combined=combined)

@@ -53,13 +53,18 @@ def lamp_inverse(a) -> LampElement:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A finitely generated group acting on the right on a point set."""
+    """A finitely generated group acting on the right on a point set.
+
+    ``base`` is the identity-like origin of a built-in action, and None
+    for an action without one.
+    """
 
     name: str
     generators: tuple
     inverses: Mapping[str, str]
     apply: Callable[[Point, str], Point] = field(repr=False)
     validate: Callable[[Point], bool] = field(repr=False, default=None)
+    base: Point = None
 
     def check_point(self, point: Point) -> Point:
         if self.validate is not None and not self.validate(point):
@@ -101,6 +106,7 @@ def integer_line() -> GroupAction:
         inverses={"+1": "-1", "-1": "+1"},
         apply=apply,
         validate=lambda x: isinstance(x, int),
+        base=0,
     )
 
 
@@ -126,7 +132,8 @@ def integer_lattice(d: int) -> GroupAction:
         return isinstance(x, tuple) and len(x) == d and all(isinstance(v, int) for v in x)
 
     return GroupAction(
-        name=f"Z^{d}", generators=tuple(gens), inverses=inverses, apply=apply, validate=valid
+        name=f"Z^{d}", generators=tuple(gens), inverses=inverses, apply=apply, validate=valid,
+        base=(0,) * d,
     )
 
 
@@ -171,6 +178,7 @@ def lamplighter() -> GroupAction:
         inverses={"+1": "-1", "-1": "+1", "b": "b"},
         apply=apply,
         validate=_lamp_valid,
+        base=LAMP_IDENTITY,
     )
 
 
@@ -208,7 +216,8 @@ def free_group(rank: int) -> GroupAction:
         return all(isinstance(v, int) and 0 < abs(v) <= rank for v in x)
 
     return GroupAction(
-        name=f"free:{rank}", generators=gens, inverses=inverses, apply=apply, validate=valid
+        name=f"free:{rank}", generators=gens, inverses=inverses, apply=apply, validate=valid,
+        base=(),
     )
 
 
@@ -270,16 +279,10 @@ def parse_group(spec: str) -> GroupAction:
 
 
 def base_point(action: GroupAction) -> Point:
-    """The identity-like origin for each built-in action."""
-    if action.name == "Z":
-        return 0
-    if action.name.startswith("Z^"):
-        return (0,) * int(action.name[2:])
-    if action.name == "lamplighter":
-        return LAMP_IDENTITY
-    if action.name.startswith("free:"):
-        return ()
-    raise DomainError(f"no default base point for the {action.name} action")
+    """The identity-like origin of a built-in action."""
+    if action.base is None:
+        raise DomainError(f"no default base point for the {action.name} action")
+    return action.base
 
 
 def ball(action: GroupAction, base: Point, radius: int, cap: int = 100_000) -> tuple:

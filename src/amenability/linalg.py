@@ -116,12 +116,10 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         c = self.characteristic
-        if c == 0:
+        # exactly int: a bool, a float or a string is no characteristic
+        if type(c) is int and (c == 0 or (2 <= c < _MAX_PRIME and _is_prime(c))):
             return
-        if not isinstance(c, int) or c < 2 or c >= _MAX_PRIME or not _is_prime(c):
-            raise InvalidFieldError(
-                f"characteristic must be 0 or a prime below 2**31, got {c!r}"
-            )
+        raise InvalidFieldError(f"characteristic must be 0 or a prime below 2**31, got {c!r}")
 
     @property
     def is_rational(self) -> bool:
@@ -595,7 +593,7 @@ def subspace_to_json(space: LabeledSubspace) -> dict:
 
 def subspace_from_json(obj: Mapping) -> LabeledSubspace:
     try:
-        fld = FieldSpec(int(obj["field"]["char"]))
+        fld = FieldSpec(obj["field"]["char"])
         labels = [_decode_label(x) for x in obj["labels"]]
         rows = [[fld.coerce(x) for x in row] for row in obj["rows"]]
     except (KeyError, TypeError, ValueError) as exc:

@@ -39,7 +39,6 @@ from .linalg import (
     _to_array,
     align_pair,
     contains_subspace,
-    subspace_from_rows,
 )
 
 Basis = tuple  # a sorted tuple of labels
@@ -307,8 +306,8 @@ def _rref_leading(space: LabeledSubspace, lead: Sequence[int]):
     """RREF of a basis with the columns ``lead`` moved first, then moved back.
 
     Returns ``(matrix, pivots)``: the reduced rows as an array in the
-    space's column order, and the pivots as positions in the order with
-    ``lead`` first.
+    space's column order, and the pivots as columns of the space, in the
+    order with ``lead`` first.
     """
     rest = set(lead)
     order = list(lead) + [j for j in range(len(space.labels)) if j not in rest]
@@ -316,27 +315,23 @@ def _rref_leading(space: LabeledSubspace, lead: Sequence[int]):
     reduced, pivots = _rref(a, space.field.characteristic)
     back = np.empty_like(reduced)
     back[:, order] = reduced
-    return back, pivots
+    return back, tuple(order[c] for c in pivots)
 
 
 def basis_extend(E: SubspaceMatroid, F: SubspaceMatroid, S: Iterable) -> Basis:
     """Grow a basis of E <= F into a basis of F containing it.
 
-    Works inside D = {v in F : v vanishes on S}: the pivot labels of D
-    are disjoint from S and complete it to a basis of F.
+    The pivots of F's RREF with the S-columns leading are the greedy
+    basis of F in that column order: S itself, then the labels outside
+    S, in ascending order, that each enlarge the span.
     """
     S = tuple(sorted(S))
     _check_nested(E, F)
     _check_basis(E, S, "basis of the smaller subspace")
     Fsp = F.space
     idx = Fsp.label_index()
-    spos = [idx[lbl] for lbl in S]
-    # RREF with the S-columns leading isolates the rows vanishing on S.
-    reduced, _ = _rref_leading(Fsp, spos)
-    vanishing = ~(reduced[:, spos] != 0).any(axis=1)
-    D = subspace_from_rows(reduced[vanishing], Fsp.labels, Fsp.field)
-    extension = initial_basis(SubspaceMatroid(D))
-    T = tuple(sorted(set(S) | set(extension)))
+    _, pivots = _rref_leading(Fsp, [idx[lbl] for lbl in S])
+    T = tuple(sorted(S + tuple(Fsp.labels[j] for j in pivots[len(S):])))
     if not is_basis(F, T):
         raise InternalInvariantError("extension failed the independence recheck")
     return T
@@ -355,7 +350,8 @@ def basis_restrict(E: SubspaceMatroid, F: SubspaceMatroid, T: Iterable) -> Basis
     Esp, _ = align_pair(E.space, F.space)
     idx = Esp.label_index()
     projected = Esp._array[:, [idx[lbl] for lbl in T]]
-    S = initial_basis(SubspaceMatroid(subspace_from_rows(projected, T, Esp.field)))
+    _, pivots = _rref(projected, Esp.field.characteristic)
+    S = tuple(T[c] for c in pivots)
     if not is_basis(E, S):
         raise InternalInvariantError("restriction failed the independence recheck")
     return S
@@ -364,8 +360,9 @@ def basis_restrict(E: SubspaceMatroid, F: SubspaceMatroid, T: Iterable) -> Basis
 def _dual_basis_rows(space: LabeledSubspace, S: Sequence) -> dict:
     """For each s in S, the unique basis vector whose S-coordinates are e_s."""
     idx = space.label_index()
-    reduced, pivots = _rref_leading(space, [idx[lbl] for lbl in S])
-    if pivots != tuple(range(len(S))):
+    lead = [idx[lbl] for lbl in S]
+    reduced, pivots = _rref_leading(space, lead)
+    if pivots != tuple(lead):
         raise InvalidBasisError(f"{tuple(S)!r} is not a basis")
     return dict(zip(S, reduced.tolist()))
 

@@ -152,6 +152,18 @@ def test_matroid_float_entries_give_structured_error(tmp_path, capsys):
     }
 
 
+def test_matroid_fractional_characteristic_gives_structured_error(tmp_path, capsys):
+    # 2.5 was once truncated to GF(2)
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"field": {"char": 2.5}, "labels": [0, 1], "rows": [[1, 1]]}))
+    code, out = run_cli(capsys, "matroid", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "InvalidFieldError",
+        "message": "characteristic must be 0 or a prime below 2**31, got 2.5",
+    }
+
+
 # ---------------------------------------------------------------------------
 # folner
 
@@ -224,6 +236,18 @@ def test_profile_exact_json(capsys):
     assert doc["rows"][5]["ratio"] == "1/3"
     assert doc["phi"]["1"] == 2  # ratio 2/2 = 1 at v = 2
     assert doc["phi"]["3"] == 6
+
+
+@pytest.mark.parametrize("name", ["Z", "Z^2"])
+def test_profile_exact_on_a_finite_action_has_no_base_point(tmp_path, name, capsys):
+    # the name once chose the base point 0 or (0, 0), which is no point here
+    path = tmp_path / "perm.json"
+    path.write_text(json.dumps({"name": name, "points": ["a", "b"], "generators": {"r": ["b", "a"]}}))
+    code, out = run_cli(capsys, "profile", "--group", f"perm:{path}", "--mode", "exact")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "DomainError", "message": f"no default base point for the {name} action",
+    }
 
 
 def test_profile_csv_is_deterministic(capsys):

@@ -13,12 +13,15 @@ from amenability import (
     WeightedFunction,
     absorb_finite,
     act_subspace,
+    base_point,
     contains_subspace,
     estimate_steiner,
     family_generate,
     finite_action,
+    free_group,
     function_report,
     gf,
+    integer_lattice,
     integer_line,
     lamplighter,
     layer_cake,
@@ -29,6 +32,7 @@ from amenability import (
     subspace_sum,
     subspace_to_function,
     SubspaceMatroid,
+    zero_subspace,
 )
 
 Z = integer_line()
@@ -167,6 +171,51 @@ def test_coarea_bound_per_generator():
             assert best <= ratios[g]
 
 
+def _recount_per_generator_best(f, keys, action):
+    """Min over levels of #(L ^ Ls) / #L, recounted with act_word; ties keep the lowest level."""
+    best = {}
+    for t in sorted(set(f.values.values())):
+        level = {x for x, v in f.values.items() if v >= t}
+        for key in keys:
+            word = key if isinstance(key, tuple) else (key,)
+            moved = {action.act_word(x, word) for x in level}
+            ratio = Fraction(len(level ^ moved), len(level))
+            if key not in best or ratio < best[key][1]:
+                best[key] = (t, ratio)
+    return best
+
+
+def _points(rng, action, k):
+    if action.name == "Z":
+        return rng.sample(range(-9, 9), k)
+    if action.name == "Z^2":
+        return list({(rng.randrange(-3, 3), rng.randrange(-3, 3)) for _ in range(k)})
+    if action.name == "cycle":
+        return rng.sample(range(5), min(k, 5))
+    return [action.act_word(base_point(action), rng.choices(action.generators, k=3)) for _ in range(k)]
+
+
+@pytest.mark.parametrize(
+    "action, S, keys",
+    [
+        (Z, ["+1", ("+1", "+1"), ("-1", "-1", "-1")], ["+1", ("+1", "+1"), ("-1", "-1", "-1")]),
+        (integer_lattice(2), ["+e1", ("+e1", "+e2")], ["+e1", ("+e1", "+e2")]),
+        (free_group(2), FormalCombination(gf(3), {("a", "b"): 1, "A": 2, (): 1}), [(), "A", ("a", "b")]),
+        (L, [("b", "+1", "b"), "-1"], [("b", "+1", "b"), "-1"]),
+        (cycle_action(5), [("r", "r"), "r^-1"], [("r", "r"), "r^-1"]),
+    ],
+    ids=["Z", "Z^2", "free:2", "lamplighter", "cycle"],
+)
+def test_layer_cake_per_generator_best_is_a_recount(action, S, keys):
+    rng = random.Random(41)
+    for _ in range(20):
+        pts = _points(rng, action, rng.randrange(1, 9))
+        f = WeightedFunction({x: rng.randrange(1, 4) for x in pts})
+        lc = layer_cake(f, S, action)
+        expected = _recount_per_generator_best(f, keys, action)
+        assert list(lc.per_generator_best.items()) == list(expected.items())
+
+
 # ---------------------------------------------------------------------------
 # sets to subspaces
 
@@ -277,6 +326,15 @@ def test_function_is_the_steiner_estimate():
     assert w.function.l1() == sp.dim
 
 
+def test_sampled_ratios_are_the_function_report():
+    for F, S, action in [
+        (family_generate("lamp-span", 3, gf(3)), [("+1", "b"), "-1"], L),
+        (family_generate("z-interval-span", 5, RATIONALS), ["+1", ("-1", "-1")], Z),
+    ]:
+        w = subspace_to_function(F, S, action, samples=256, seed=5)
+        assert w.sampled_ratios == function_report(w.function, S, action)
+
+
 # ---------------------------------------------------------------------------
 # absorbing a finite piece
 
@@ -307,6 +365,21 @@ def test_absorb_subspaces():
     # independent recomputation of the combined report
     direct = subspace_report(subspace_sum(core, extra), LAMP_GENS, L)
     assert direct.union_ratio == res.report.union_ratio
+
+
+def test_absorb_empty_set_counts_nothing():
+    core = list(range(1, 11))
+    res = absorb_finite(core, [], ["+1", "-1"], Z)
+    assert res.bound == Fraction(2, 10) == res.report.union_ratio
+    assert res.combined == tuple(core)
+
+
+def test_absorb_zero_subspace_counts_nothing():
+    core = family_generate("lamp-span", 3, GF2)
+    res = absorb_finite(core, zero_subspace([LAMP_IDENTITY], GF2), LAMP_GENS, L)
+    assert res.bound == subspace_report(core, LAMP_GENS, L).union_ratio == Fraction(2, 3)
+    assert res.report.union_ratio == Fraction(2, 3)
+    assert res.combined.dim == 3
 
 
 def test_absorb_type_mismatch():

@@ -307,3 +307,10 @@ def test_base_points():
     assert base_point(integer_lattice(2)) == (0, 0)
     assert base_point(L) == LAMP_IDENTITY
     assert base_point(F2) == ()
+
+
+def test_a_finite_action_has_no_base_point_whatever_its_name():
+    for name in ("Z", "Z^2", "lamplighter", "free:2"):
+        action = finite_action(name, [0, 1], {"r": [1, 0]})
+        with pytest.raises(DomainError, match="no default base point"):
+            base_point(action)

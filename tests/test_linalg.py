@@ -1,11 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from amenability import (
     GF2,
@@ -238,21 +237,27 @@ def test_field_characteristics_are_primes_below_2_to_the_31():
     assert FieldSpec(2**31 - 1).characteristic == 2**31 - 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 5),
-    st.sampled_from([0, 2, 5]),
-    st.randoms(use_true_random=False),
-)
-def test_rref_is_idempotent(m, n, char, rng):
-    field = FieldSpec(char)
-    rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
-    once, rank, piv = rref(rows, field)
-    twice, rank2, piv2 = rref(once, field)
-    assert once == twice
-    assert (rank, piv) == (rank2, piv2)
-    assert rank == oracle_rank(rows, char)
+@pytest.mark.parametrize("bad", [2.5, "2", False, True, 0.0, "0", None, np.int64(2)])
+def test_a_characteristic_must_be_an_int(bad):
+    # 0.0 and False once passed as Q, and 2.5 and "2" once loaded as GF(2)
+    with pytest.raises(InvalidFieldError):
+        FieldSpec(bad)
+    doc = {"field": {"char": bad}, "labels": [0, 1], "rows": [[1, 1]]}
+    with pytest.raises(InvalidFieldError):
+        subspace_from_json(doc)
+
+
+def test_rref_is_idempotent():
+    # every shape and field, each case with its own seeded generator
+    for m, n, char in product(range(1, 5), range(1, 6), (0, 2, 5)):
+        rng = random.Random(100 * char + 10 * m + n)
+        field = FieldSpec(char)
+        rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
+        once, rank, piv = rref(rows, field)
+        twice, rank2, piv2 = rref(once, field)
+        assert once == twice, (m, n, char)
+        assert (rank, piv) == (rank2, piv2), (m, n, char)
+        assert rank == oracle_rank(rows, char), (m, n, char)
 
 
 def test_rref_ragged_rows_raise():
@@ -396,26 +401,23 @@ def test_quotient_zero_iff_contained():
         assert (quotient_dim(F, G) == 0) == contains_subspace(G, F) == eliminated
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([0, 2, 5]),
-    st.integers(2, 5),
-    st.randoms(use_true_random=False),
-)
-def test_grassmann_identity(char, n, rng):
-    field = FieldSpec(char)
-    labels = list(range(n))
-    E_rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(1, 4))]
-    F_rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(1, 4))]
-    E = subspace_from_rows(E_rows, labels, field)
-    F = subspace_from_rows(F_rows, labels, field)
-    total = subspace_sum(E, F)
-    meet = oracle_intersection_basis(E.basis_rows(), F.basis_rows(), char)
-    assert total.dim + oracle_rank(meet, char) == E.dim + F.dim
-    # every solved intersection vector really lies in both subspaces
-    for vec in meet:
-        assert E.contains_vector(vec)
-        assert F.contains_vector(vec)
+def test_grassmann_identity():
+    # every field and width, four seeded cases each
+    for char, n, seed in product((0, 2, 5), range(2, 6), range(4)):
+        rng = random.Random(1000 * char + 10 * n + seed)
+        field = FieldSpec(char)
+        labels = list(range(n))
+        E_rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(1, 4))]
+        F_rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(1, 4))]
+        E = subspace_from_rows(E_rows, labels, field)
+        F = subspace_from_rows(F_rows, labels, field)
+        total = subspace_sum(E, F)
+        meet = oracle_intersection_basis(E.basis_rows(), F.basis_rows(), char)
+        assert total.dim + oracle_rank(meet, char) == E.dim + F.dim, (char, n, seed)
+        # every solved intersection vector really lies in both subspaces
+        for vec in meet:
+            assert E.contains_vector(vec)
+            assert F.contains_vector(vec)
 
 
 # ---------------------------------------------------------------------------

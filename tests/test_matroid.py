@@ -23,6 +23,7 @@ from amenability import (
     is_basis,
     gf,
     is_independent,
+    rref,
     subspace_from_rows,
     zero_subspace,
 )
@@ -311,6 +312,49 @@ def test_exchange_closure_on_random_nested_pairs():
             assert ell in T
             assert is_basis(E, tuple(sorted(set(S) - {k} | {ell})))
             assert is_basis(F, tuple(sorted(set(T) - {ell} | {k})))
+
+
+def _nested_pair(rng, n, field):
+    """E <= F over any field: E spanned by random combinations of F's rows, maybe zero."""
+    p = field.characteristic
+    draw = (lambda: rng.randrange(-2, 3)) if p == 0 else (lambda: rng.randrange(p))
+    labels = list(range(n))
+    F = subspace_from_rows([[draw() for _ in labels] for _ in range(rng.randrange(1, n + 1))], labels, field)
+    base = F.basis_rows()
+    E_rows = [
+        [sum(c * row[j] for c, row in zip(coeffs, base)) for j in labels]
+        for coeffs in ([draw() for _ in base] for _ in range(rng.randrange(F.dim + 1)))
+    ]
+    return SubspaceMatroid(subspace_from_rows(E_rows, labels, field)), SubspaceMatroid(F)
+
+
+def _rank(M, labels):
+    """Rank of the columns ``labels``, by the RREF of their submatrix."""
+    idx = M.space.label_index()
+    rows = [[row[idx[lbl]] for lbl in labels] for row in M.space.basis_rows()]
+    return rref(rows, M.space.field)[1] if rows and labels else 0
+
+
+def _greedy(M, start, candidates):
+    """``start`` plus each candidate, in ascending order, that raises the rank."""
+    kept = list(start)
+    for lbl in sorted(candidates):
+        if lbl not in kept and _rank(M, kept + [lbl]) > len(kept):
+            kept.append(lbl)
+    return tuple(sorted(kept))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2, gf(3), gf(31)], ids=["Q", "GF2", "GF3", "GF31"])
+def test_extend_and_restrict_are_greedy_against_a_rank_oracle(field):
+    rng = random.Random(61 + field.characteristic)
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        E, F = _nested_pair(rng, n, field)
+        # arbitrary bases, not only the pivot ones
+        S = greedy_min_basis(E, [rng.random() for _ in range(n)])
+        T = greedy_min_basis(F, [rng.random() for _ in range(n)])
+        assert basis_extend(E, F, S) == _greedy(F, S, F.labels)
+        assert basis_restrict(E, F, T) == _greedy(E, (), T)
 
 
 def test_nested_greedy_containment():
