@@ -11,6 +11,8 @@ whose translation defect is certified by exact dimension counts.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
@@ -79,26 +81,31 @@ def _normalize_acting(S) -> list:
     return out
 
 
+def _translate_report(points: set, acting, translates, name: str) -> FolnerReport:
+    """The set report of ``points`` from its translate by each acting element."""
+    size = len(points)
+    per = {}
+    union = set(points)
+    for (key, _), translated in zip(acting, translates):
+        per[key] = Fraction(len(translated - points), size)
+        union |= translated
+    return FolnerReport(
+        subject=f"set of {size} points under {name}",
+        size=size,
+        per_generator=per,
+        union_ratio=Fraction(len(union) - size, size),
+        union_size=len(union),
+    )
+
+
 def set_report(F: Iterable, S, action: GroupAction) -> FolnerReport:
     """Counting report for a finite set: (#(F u Fs) - #F) / #F per element."""
     points = set(F)
     if not points:
         raise DegenerateInputError("the empty set has no boundary ratio")
     acting = _normalize_acting(S)
-    size = len(points)
-    per = {}
-    union = set(points)
-    for key, word in acting:
-        translated = {action.act_word(x, word) for x in points}
-        per[key] = Fraction(len(translated - points), size)
-        union |= translated
-    return FolnerReport(
-        subject=f"set of {size} points under {action.name}",
-        size=size,
-        per_generator=per,
-        union_ratio=Fraction(len(union) - size, size),
-        union_size=len(union),
-    )
+    images = action.act_points(points, [word for _, word in acting])
+    return _translate_report(points, acting, map(set, images), action.name)
 
 
 @dataclass(frozen=True)
@@ -126,9 +133,8 @@ class WeightedFunction:
         return tuple(sorted(self.values))
 
     def translate(self, action: GroupAction, word) -> "WeightedFunction":
-        return WeightedFunction(
-            {action.act_word(x, word): v for x, v in self.values.items()}
-        )
+        (images,) = action.act_points(self.values, (word,))
+        return WeightedFunction(dict(zip(images, self.values.values())))
 
     @staticmethod
     def indicator(points: Iterable) -> "WeightedFunction":
@@ -141,19 +147,32 @@ class WeightedFunction:
         )
 
 
-def _l1_difference(f: WeightedFunction, g: WeightedFunction) -> Fraction:
-    keys = set(f.values) | set(g.values)
-    zero = Fraction(0)
-    return sum((abs(f.values.get(x, zero) - g.values.get(x, zero)) for x in keys), zero)
+def _numerators(values: Mapping[Any, Fraction]) -> tuple:
+    """A common denominator of the values, and each value's numerator over it."""
+    den = math.lcm(*{v.denominator for v in values.values()})
+    return den, {x: v.numerator * (den // v.denominator) for x, v in values.items()}
+
+
+def _l1_difference(f: Mapping[Any, int], g: Mapping[Any, int]) -> int:
+    """||f - g||_1 of two nonnegative integer functions; a missing key counts as 0."""
+    inside = sum(abs(v - g.get(x, 0)) for x, v in f.items())
+    return inside + sum(v for x, v in g.items() if x not in f)
 
 
 def function_report(f: WeightedFunction, S, action: GroupAction) -> dict:
-    """Translation defect ||f - fs||_1 / ||f||_1 for each acting element."""
-    norm = f.l1()
-    out = {}
-    for key, word in _normalize_acting(S):
-        out[key] = _l1_difference(f, f.translate(action, word)) / norm
-    return out
+    """Translation defect ||f - fs||_1 / ||f||_1 for each acting element.
+
+    Exact on integers: over a common denominator both norms are integer
+    sums of numerators, and the denominator cancels in the ratio.
+    """
+    _, num = _numerators(f.values)
+    norm = sum(num.values())
+    acting = _normalize_acting(S)
+    images = action.act_points(num, [word for _, word in acting])
+    return {
+        key: Fraction(_l1_difference(num, dict(zip(moved, num.values()))), norm)
+        for (key, _), moved in zip(acting, images)
+    }
 
 
 @dataclass(frozen=True)
@@ -178,22 +197,38 @@ def layer_cake(f: WeightedFunction, S, action: GroupAction) -> LayerCakeResult:
     Scans the attained values t of f; the level sets {f >= t} slice f so
     that both its mass and its translation defect are the value-weighted
     sums over slices, hence the best slice is at least as good as f.
-    Each level's symmetric-difference ratios come from its set report:
-    an acting element permutes the points, so #Ls = #L and
+    The support is ranked by value once, so each level is a prefix of
+    that ranking, and each point is translated once; a level's
+    translates are read off those images.  Each level's
+    symmetric-difference ratios come from its set report: an acting
+    element permutes the points, so #Ls = #L and
     #(L ^ Ls) = 2 #(Ls - L).  Ties keep the smallest threshold.
     """
+    den, num = _numerators(f.values)
+    ranked = sorted(num, key=num.__getitem__, reverse=True)
+    counts = Counter(num.values())
+    acting = _normalize_acting(S)
+    support = set({x for x in num})  # the first level, built as set_report saw it
+    images = action.act_points(support, [word for _, word in acting])
+    moves = [dict(zip(support, moved)) for moved in images]
     best = None
     per_best = {}
-    for t in sorted(set(f.values.values())):
-        level = {x for x, v in f.values.items() if v >= t}
-        report = set_report(level, S, action)
+    size = len(ranked)
+    for value in sorted(counts):
+        t = Fraction(value, den)
+        level = set(ranked[:size])
+        size -= counts[value]
+        translates = ({move[x] for x in level} for move in moves)
+        report = _translate_report(level, acting, translates, action.name)
         if best is None or report.union_ratio < best[2].union_ratio:
-            best = (t, level, report)
+            best = (t, value, report)
         for key, gain in report.per_generator.items():
             ratio = 2 * gain
             if key not in per_best or ratio < per_best[key][1]:
                 per_best[key] = (t, ratio)
-    t, level, report = best
+    t, value, report = best
+    # rebuilt in the support's order, so points that do not compare fail alike
+    level = {x for x, v in num.items() if v >= value}
     return LayerCakeResult(
         threshold=t,
         level_set=tuple(sorted(level)),
@@ -291,6 +326,16 @@ def subspace_to_function(
     )
 
 
+def _with_translates(U, S, action: GroupAction) -> int:
+    """The size of U joined with its translates: a count for a set, a dimension for a subspace."""
+    if not isinstance(U, LabeledSubspace):
+        return set_report(U, S, action).union_size
+    union = U
+    for _, word in _normalize_acting(S):
+        union = subspace_sum(union, act_subspace(U, action, word))
+    return union.dim
+
+
 @dataclass(frozen=True)
 class AbsorbResult:
     """Report for a good core forced to absorb a finite piece."""
@@ -321,8 +366,7 @@ def absorb_finite(F_core, U, S, action: GroupAction) -> AbsorbResult:
     combined = join(core, U)
     combined_report = report(combined, S, action)
     core_report = report(core, S, action)
-    # U with its translates: the union of a report on U, or nothing at all
-    u_union = 0 if u_empty else report(U, S, action).union_size
+    u_union = 0 if u_empty else _with_translates(U, S, action)
     bound = Fraction(
         (core_report.union_size - core_report.size) + u_union, core_report.size
     )

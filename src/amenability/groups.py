@@ -13,7 +13,7 @@ import json
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,22 +72,44 @@ class GroupAction:
         return point
 
     def act_word(self, point: Point, word) -> Point:
-        """The image of ``point`` under a word, checking the point once.
+        """The image of ``point`` under a word (a generator name or a sequence of them)."""
+        return next(self.act_points((point,), (word,)))[0]
 
-        Generators map points of the action to points of the action, so
-        only the start point needs the check.
+    def act_points(self, points, words) -> Iterator[list]:
+        """The images of ``points`` under each word: one list per word, in the points' order.
+
+        Each generator of a word and each point is checked once, however
+        many words there are: generators map points of the action to
+        points of the action, so only the start points need the check.
+        The lists are yielded word by word, so one word's images need
+        not outlive the next.  The errors are those that ``act_word``
+        point by point, word by word, would raise first: the first
+        generator of a word before the first point, that point before
+        the rest of the word.  An empty word checks nothing.
         """
-        if isinstance(word, str):
-            word = (word,)
+        points = list(points)
+        known, check, apply = self.inverses, self.check_point, self.apply
         checked = False
-        for g in word:
-            if g not in self.inverses:
-                raise DomainError(f"unknown generator {g!r} in a word")
-            if not checked:
-                self.check_point(point)
-                checked = True
-            point = self.apply(point, g)
-        return point
+        for word in words:
+            if not points:
+                yield []
+                continue
+            word = (word,) if isinstance(word, str) else tuple(word)
+            for i, g in enumerate(word):
+                if g not in known:
+                    if i:
+                        check(points[0])
+                    raise DomainError(f"unknown generator {g!r} in a word")
+            unchecked = bool(word) and not checked
+            images = []
+            for x in points:
+                if unchecked:
+                    check(x)
+                for g in word:
+                    x = apply(x, g)
+                images.append(x)
+            checked = checked or unchecked
+            yield images
 
 
 # ---------------------------------------------------------------------------

@@ -527,12 +527,6 @@ class FormalCombination:
         return iter(self.terms)
 
 
-def _as_word(r) -> tuple:
-    if isinstance(r, str):
-        return (r,)
-    return tuple(r)
-
-
 def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
     """Right action of a group element or formal combination on a subspace.
 
@@ -546,9 +540,7 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
             raise FieldMismatchError("combination and subspace fields differ")
         if not r.terms:
             return zero_subspace(F.labels, F.field)
-        targets = {
-            word: [action.act_word(x, word) for x in F.labels] for word in r.support
-        }
+        targets = dict(zip(r.support, action.act_points(F.labels, r.support)))
         new_labels = sorted({y for tt in targets.values() for y in tt})
         moved = {lbl: j for j, lbl in enumerate(new_labels)}
         p = F.field.characteristic
@@ -558,8 +550,7 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
             big[:, cols] = _mod(big[:, cols] + coeff * F._array, p)
         return subspace_from_rows(big, new_labels, F.field)
 
-    word = _as_word(r)
-    new_labels = [action.act_word(x, word) for x in F.labels]
+    (new_labels,) = action.act_points(F.labels, (r,))
     if len(set(new_labels)) != len(new_labels):
         raise DomainError("group element did not act injectively on the labels")
     return subspace_from_rows(F.basis, new_labels, F.field)

@@ -90,8 +90,14 @@ class _Kernel:
         # greedy stops once it holds d labels, and no rank exceeds d
         return len(self.greedy(indices))
 
-    def greedy_rows(self, order: np.ndarray) -> np.ndarray:
+    def greedy_rows(self, order: np.ndarray) -> tuple:
         """Greedy basis for each row of a 2-D order array, as ascending label indices.
+
+        Returns ``(kept, unfinished)``: ``kept`` holds one row of d label
+        indices per order, and ``unfinished`` the ascending indices of the
+        rows whose labels did not reach a basis.  That happens only when
+        the orders are prefixes of the label orders; the kept rows of
+        unfinished orders are meaningless.
 
         Greedy runs for all rows at once, as one Gaussian elimination per
         row.  A row keeps d echelon slots: slot j is empty or holds a kept
@@ -110,13 +116,13 @@ class _Kernel:
         bits = (p - 1).bit_length()
         every = 1 if residues.dtype == object else (63 - bits) // (bits + 1)
         out = np.empty((rows, d), dtype=np.int64)
-        live = np.arange(rows)
+        live = np.arange(rows if d else 0)  # the empty set is every row's basis
         slots = np.zeros((rows, d, d), dtype=residues.dtype)
         lead = np.ones((rows, d), dtype=residues.dtype)
         kept = np.empty((rows, d), dtype=np.int64)
         size = np.zeros(rows, dtype=np.int64)
         for t in range(n):
-            if not live.size or not d:
+            if not live.size:
                 break
             label = order[live, t]
             c = residues[label]
@@ -139,7 +145,7 @@ class _Kernel:
                     a[keep] for a in (live, slots, lead, kept, size)
                 )
         out.sort(axis=1)
-        return out
+        return out, live
 
 
 class _Gf2Kernel(_Kernel):

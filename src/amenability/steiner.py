@@ -14,12 +14,16 @@ compare coordinatewise, and their L1 gap is exactly the dimension gap.
 Direction sampling is counter-based (Philox keyed by (seed, chunk)), so
 sample i depends only on (seed, i) and never on scheduling or worker
 count.  Every sampling entry point goes through one driver,
-``_shared_kept``: per chunk of 512 directions it argsorts the block once
+``_shared_kept``: per chunk of 512 directions it sorts each row once
 and hands the orders to each matroid's kernel, which runs greedy for all
 of them together as one batched elimination over residues mod p, the
-same on every field and every number of labels.  The kernels keep no
-state between calls, so ``AMEN_THREADS`` threads can map the chunks;
-results are identical for any value.
+same on every field and every number of labels.  Greedy reads only the
+start of an order, so on long rows the driver sorts a prefix of each
+row (``argpartition``, then the prefix by value and index) and sorts a
+row whole only when its prefix ends in a tie or leaves a kernel without
+a basis; the orders greedy reads are always the stable sort's.  The
+kernels keep no state between calls, so ``AMEN_THREADS`` threads can
+map the chunks; results are identical for any value.
 """
 
 from __future__ import annotations
@@ -127,19 +131,59 @@ class SteinerEstimate:
         return self.vector[self.labels.index(label)]
 
 
+def _stable_prefix(block: np.ndarray, k: int):
+    """The first k entries of each row's stable argsort, and the rows they may miss.
+
+    Returns ``(order, ties)``.  ``np.argpartition`` puts the k smallest
+    values of a row first, in no set order, and the (k+1)-th smallest at
+    position k; sorting those k indices by (value, index) gives the
+    stable sort's prefix unless the largest of them equals the value at
+    position k.  Then the tie may have kept a larger index than the
+    stable sort keeps, so those rows, ``ties``, need the full sort.
+    Rows of at most k entries are sorted whole.
+    """
+    if k >= block.shape[1]:
+        return np.argsort(block, axis=1, kind="stable"), np.empty(0, dtype=np.intp)
+    part = np.argpartition(block, k, axis=1)
+    head = part[:, :k]
+    values = np.take_along_axis(block, head, axis=1)
+    order = np.take_along_axis(head, np.lexsort((head, values), axis=1), axis=1)
+    after = np.take_along_axis(block, part[:, k, None], axis=1)[:, 0]
+    return order, np.flatnonzero(values.max(axis=1) == after)
+
+
+def _prefix_length(kernels) -> int:
+    """How many entries of each order a chunk sorts, at least: four times the largest rank, and 64."""
+    return max(64, 4 * max(kernel.rank for kernel in kernels))
+
+
 def _shared_kept(kernels, N: int, seed: int):
     """Greedy bases of each kernel over samples 0..N-1 of one direction stream.
 
     Yields one list per chunk, in chunk order, holding for each kernel a
     (rows, rank) array of ascending label indices.  The kernels share
     their labels; ``AMEN_THREADS`` threads map the chunks.
+
+    Greedy reads only the start of each order, so on rows longer than
+    the prefix length k (``_prefix_length``) a chunk sorts just its
+    first k entries.  A row that ties at the prefix's end, or on which a
+    kernel holds no basis after k labels, is run again for that kernel
+    on its full stable order; so the bases never depend on k.
     """
     sampler = DirectionSampler(seed=seed, dimension=len(kernels[0].cols))
+    k = _prefix_length(kernels)
 
     def run_chunk(c: int) -> list:
         block = sampler.chunk(c)[: N - c * CHUNK]
-        order = np.argsort(block, axis=1, kind="stable")
-        return [kernel.greedy_rows(order) for kernel in kernels]
+        order, ties = _stable_prefix(block, k)
+        out = []
+        for kernel in kernels:
+            kept, unfinished = kernel.greedy_rows(order)
+            redo = np.union1d(ties, unfinished) if ties.size else unfinished
+            if redo.size:
+                kept[redo] = kernel.greedy_rows(np.argsort(block[redo], axis=1, kind="stable"))[0]
+            out.append(kept)
+        return out
 
     chunks = range((N + CHUNK - 1) // CHUNK)
     workers = _worker_count()

@@ -216,6 +216,60 @@ def test_layer_cake_per_generator_best_is_a_recount(action, S, keys):
         assert list(lc.per_generator_best.items()) == list(expected.items())
 
 
+def _layer_cake_by_comparison(f, S, action):
+    """The level-by-level scan: one comparison pass and one set report per threshold."""
+    best, per_best = None, {}
+    for t in sorted(set(f.values.values())):
+        level = {x for x, v in f.values.items() if v >= t}
+        report = set_report(level, S, action)
+        if best is None or report.union_ratio < best[2].union_ratio:
+            best = (t, level, report)
+        for key, gain in report.per_generator.items():
+            if key not in per_best or 2 * gain < per_best[key][1]:
+                per_best[key] = (t, 2 * gain)
+    return best[0], tuple(sorted(best[1])), best[2], per_best
+
+
+@pytest.mark.parametrize(
+    "action, S",
+    [
+        (Z, ["+1", "-1", ("+1", "+1")]),
+        (integer_lattice(2), ["+e1", ("+e1", "+e2"), "-e2"]),
+        (free_group(2), FormalCombination(gf(3), {("a", "b"): 1, "A": 2, (): 1})),
+        (L, LAMP_GENS),
+        (cycle_action(5), [("r", "r"), "r^-1"]),
+    ],
+    ids=["Z", "Z^2", "free:2", "lamplighter", "cycle"],
+)
+def test_layer_cake_and_function_report_match_fraction_scans(action, S):
+    rng = random.Random(53)
+    for _ in range(30):
+        pts = _points(rng, action, rng.randrange(1, 12))
+        f = WeightedFunction({x: Fraction(rng.randrange(1, 9), rng.choice([1, 2, 3, 7, 12])) for x in pts})
+        lc = layer_cake(f, S, action)
+        t, level, report, per_best = _layer_cake_by_comparison(f, S, action)
+        assert (lc.threshold, lc.level_set, lc.report) == (t, level, report)
+        assert list(lc.per_generator_best.items()) == list(per_best.items())
+        ratios = function_report(f, S, action)
+        for key in ratios:
+            g = f.translate(action, key if isinstance(key, tuple) else (key,)).values
+            zero = Fraction(0)
+            l1 = sum((abs(f.values.get(x, zero) - g.get(x, zero)) for x in set(f.values) | set(g)), zero)
+            assert ratios[key] == l1 / f.l1()
+
+
+def test_absorbing_a_subspace_reads_its_translates_once():
+    core = family_generate("lamp-span", 4, GF2)
+    for U in (
+        family_generate("lamp-span", 5, GF2),
+        subspace_from_rows([[1, 1, 0], [0, 1, 1]], [((), 0), ((1,), 1), ((), 9)], GF2),
+    ):
+        res = absorb_finite(core, U, LAMP_GENS, L)
+        core_report = subspace_report(core, LAMP_GENS, L)
+        spread = subspace_report(U, LAMP_GENS, L).union_size
+        assert res.bound == Fraction(core_report.union_size - core_report.size + spread, core_report.size)
+
+
 # ---------------------------------------------------------------------------
 # sets to subspaces
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -184,6 +185,77 @@ def test_unknown_generators_still_raise_anywhere_in_a_word():
         Z.act_word(0, ("+1", "+1", "nope"))
     with pytest.raises(DomainError, match="unknown generator"):
         L.act_word("not a point", ("nope", "b"))  # the word is read left to right
+
+
+def _first_outcome(fn):
+    try:
+        return fn()
+    except DomainError as exc:
+        return ("raised", str(exc))
+
+
+def _act_word_by_word(action, points, words):
+    """act_points as a word acting point by point, word by word, read left to right."""
+
+    def act(x, word):
+        for i, g in enumerate((word,) if isinstance(word, str) else word):
+            if g not in action.inverses:
+                raise DomainError(f"unknown generator {g!r} in a word")
+            if i == 0:
+                action.check_point(x)
+            x = action.apply(x, g)
+        return x
+
+    return [[act(x, w) for x in points] for w in words]
+
+
+BAD_POINTS = {"Z": ["zero", 1.5], "Z^3": [(1,), (1, 2, "3")], "lamplighter": [((3, 1), 0), "x"],
+              "free:2": [(1, -1), (3,)], "hexagon": [(0, 6), "x"]}
+
+
+@pytest.mark.parametrize(
+    "action",
+    [Z, integer_lattice(3), L, F2, HEXAGON],
+    ids=["Z", "Z^3", "lamplighter", "free:2", "finite"],
+)
+def test_act_points_raise_what_act_word_raises_first(action):
+    # the first error met acting word by word, point by point: unknown
+    # generators at the start or later in a word, invalid points anywhere,
+    # empty words (which check nothing) and bare generator names
+    rng = random.Random(107)
+    names = list(action.generators) + ["nope"]
+    for _ in range(400):
+        k = rng.randrange(0, 5)
+        points = [rng.choice(HEXAGON_POINTS) if action is HEXAGON else random_point(action, rng) for _ in range(k)]
+        for _ in range(rng.randrange(0, 3) if rng.random() < 0.4 else 0):
+            points.insert(rng.randrange(len(points) + 1), rng.choice(BAD_POINTS[action.name]))
+        words = []
+        for _ in range(rng.randrange(1, 4)):
+            word = tuple(rng.choice(names) if rng.random() < 0.1 else rng.choice(action.generators)
+                         for _ in range(rng.randrange(0, 4)))
+            words.append(word[0] if len(word) == 1 and rng.random() < 0.5 else word)
+        expected = _first_outcome(lambda: _act_word_by_word(action, points, words))
+        assert _first_outcome(lambda: list(action.act_points(points, words))) == expected
+        for w in words:
+            expected = _first_outcome(lambda: _act_word_by_word(action, points[:1], [w]))
+            assert _first_outcome(lambda: [[action.act_word(x, w) for x in points[:1]]]) == expected
+
+
+def test_act_points_check_each_point_once():
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return isinstance(x, int)
+
+    line = dataclasses.replace(Z, validate=counted)
+    points = list(range(10))
+    images = list(line.act_points(points, ["+1", ("-1", "-1"), (), ("+1",) * 5]))
+    assert images == [[x + 1 for x in points], [x - 2 for x in points], points, [x + 5 for x in points]]
+    assert calls == points
+    calls.clear()
+    assert list(line.act_points(points, [(), ()])) == [points, points] and calls == []
+    assert list(line.act_points([], ["nope"])) == [[]]
 
 
 def test_lamplighter_associativity_against_the_group_law():

@@ -3,7 +3,10 @@
 Batched greedy runs one elimination over residues mod p for a whole
 chunk of orders; the reference here draws the same directions, argsorts
 each row on its own and runs the kernel's one-order ``greedy``, as the
-sampler did sample by sample.
+sampler did sample by sample.  On long rows the driver sorts only a
+prefix of each order and falls back to the full stable sort row by row;
+the tests below reach that fallback on purpose and check it against the
+same reference.
 """
 
 import random
@@ -31,7 +34,7 @@ from amenability import (
     subspace_from_rows,
 )
 from amenability.linalg import _MR_EXACT_BELOW
-from amenability.steiner import _tally, angles_from_hits
+from amenability.steiner import CHUNK, _prefix_length, _stable_prefix, _tally, angles_from_hits
 from test_matroid import random_nested_pair
 
 # gfmax is the largest prime field: products of residues come within 2^62
@@ -112,7 +115,8 @@ def test_greedy_rows_equal_greedy_on_seeded_orders(name):
         n = len(M.labels)
         orders = np.array([rng.sample(range(n), n) for _ in range(300)])
         expected = [kernel.greedy(row) for row in orders.tolist()]
-        assert kernel.greedy_rows(orders).tolist() == expected
+        kept, unfinished = kernel.greedy_rows(orders)
+        assert kept.tolist() == expected and unfinished.size == 0
 
 
 def test_a_proth_prime_kernel_decides_every_basis_like_rref():
@@ -181,3 +185,155 @@ def test_thread_counts_give_identical_results(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# prefix orders and their fallback
+
+
+def prefix_misses(kernels, N, seed):
+    """The driver's rows that need the full sort: those that tie, and per kernel those left unfinished."""
+    sampler = DirectionSampler(seed=seed, dimension=len(kernels[0].cols))
+    k = _prefix_length(kernels)
+    ties, unfinished = 0, [0] * len(kernels)
+    for c in range((N + CHUNK - 1) // CHUNK):
+        order, tied = _stable_prefix(sampler.chunk(c)[: N - c * CHUNK], k)
+        ties += tied.size
+        unfinished = [u + kernel.greedy_rows(order)[1].size for u, kernel in zip(unfinished, kernels)]
+    return ties, unfinished
+
+
+def assert_prefix_is_exact(block, k):
+    full = np.argsort(block, axis=1, kind="stable")
+    order, ties = _stable_prefix(block, k)
+    width = min(k, block.shape[1])
+    assert order.shape == (len(block), width)
+    # a row may differ from the stable prefix only where the k-th and
+    # (k+1)-th smallest values are equal, and every such row is flagged
+    values = np.take_along_axis(block, full, axis=1)
+    boundary = values[:, k - 1] == values[:, k] if k < block.shape[1] else np.zeros(len(block), bool)
+    assert ties.tolist() == np.flatnonzero(boundary).tolist()
+    exact = np.setdiff1d(np.arange(len(block)), ties)
+    assert (order[exact] == full[exact, :width]).all()
+    return order, ties
+
+
+def test_a_tie_at_the_prefix_end_falls_back():
+    # k = 3: the 2s straddle the prefix end in row 0, so argpartition may
+    # keep any of them; row 1 has its tie inside the prefix; row 2 none
+    block = np.array(
+        [
+            [5.0, 1.0, 2.0, 2.0, 2.0, 0.0],
+            [3.0, 1.0, 1.0, 0.0, 9.0, 8.0],
+            [0.5, 0.25, 4.0, 3.0, 2.0, 1.0],
+        ]
+    )
+    order, ties = assert_prefix_is_exact(block, 3)
+    assert ties.tolist() == [0]
+    assert order[1].tolist() == [3, 1, 2]  # equal values keep index order
+    assert order[2].tolist() == [1, 0, 5]
+
+
+def test_prefixes_of_rows_full_of_ties_are_stable():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 5, 16, 39, 40, 64):
+        for levels in (2, 3, 8, 1000):
+            block = rng.integers(0, levels, size=(200, 40)).astype(float)
+            order, ties = assert_prefix_is_exact(block, k)
+            if k >= 40:  # rows no longer than k are sorted whole
+                assert ties.size == 0
+            elif levels <= 8:
+                assert ties.size  # the fallback is reached
+
+
+def test_greedy_rows_report_rows_that_a_short_order_leaves_unfinished():
+    rng = random.Random(29)
+    for name in sorted(FIELDS):
+        M = matroid_with_loops_and_parallels(rng, FIELDS[name], 12, 4)
+        kernel = M._kernel
+        full = np.array([rng.sample(range(12), 12) for _ in range(400)])
+        for width in (0, 1, M.rank, M.rank + 1, 7, 12):
+            kept, unfinished = kernel.greedy_rows(full[:, :width])
+            short = [kernel.greedy(row) for row in full[:, :width].tolist()]
+            assert unfinished.tolist() == [i for i, b in enumerate(short) if len(b) < M.rank]
+            done = [i for i, b in enumerate(short) if len(b) == M.rank]
+            assert kept[done].tolist() == [short[i] for i in done]
+            assert kept.shape == (400, M.rank)
+        assert kernel.greedy_rows(full)[1].size == 0
+
+
+@pytest.mark.parametrize(
+    "n, char, N, seed",
+    [(7, 2, 1300, 3), (8, 2, 2048, 41), (6, 3, 1300, 5)],
+)
+def test_driver_hits_on_lamp_spans(n, char, N, seed):
+    M = SubspaceMatroid(family_generate("lamp-span", n, gf(char)))
+    assert _prefix_length([M._kernel]) < len(M.labels)
+    assert estimate_steiner(M, N, seed).per_vertex_hits == reference_hits(M, N, seed)
+    if n == 8:  # a coupon collector over 8 classes of 256 labels now and then needs more than 64
+        assert prefix_misses([M._kernel], N, seed)[1][0] > 0
+
+
+def test_driver_hits_on_directions_full_of_ties(monkeypatch):
+    # every other direction has all but its 30 smallest entries equal, so
+    # the prefix ends in a tie that greedy reaches now and then
+    chunk = DirectionSampler.chunk
+
+    def clipped(self, c):
+        block = chunk(self, c)
+        cut = np.sort(block, axis=1)[:, 30:31]
+        cut[1::2] = np.inf
+        return np.minimum(block, cut)
+
+    monkeypatch.setattr(DirectionSampler, "chunk", clipped)
+    M = SubspaceMatroid(family_generate("lamp-span", 7, GF2))
+    N, seed = 1100, 4
+    ties, _ = prefix_misses([M._kernel], N, seed)
+    assert ties == N // 2
+    assert estimate_steiner(M, N, seed).per_vertex_hits == reference_hits(M, N, seed)
+
+
+def loopy_matroid(rng, field, n, live, d):
+    """d x n rows whose only nonzero columns are ``live`` random labels."""
+    p = field.characteristic
+    cols = rng.sample(range(n), live)
+    while True:
+        rows = [[0] * n for _ in range(d)]
+        for row in rows:
+            for j in cols:
+                row[j] = rng.randrange(p)
+        sp = subspace_from_rows(rows, list(range(n)), field)
+        if sp.dim == d:
+            return SubspaceMatroid(sp)
+
+
+def test_driver_hits_when_most_rows_exhaust_the_prefix():
+    M = loopy_matroid(random.Random(31), gf(3), 200, 10, 3)
+    N, seed = 1100, 8
+    _, (unfinished,) = prefix_misses([M._kernel], N, seed)
+    assert unfinished > N // 2
+    assert estimate_steiner(M, N, seed).per_vertex_hits == reference_hits(M, N, seed)
+
+
+def test_driver_hits_with_the_rank_close_to_the_prefix_length():
+    rng = random.Random(37)
+    for M in (loopy_matroid(rng, gf(3), 100, 30, 20), loopy_matroid(rng, GF2, 100, 28, 16)):
+        assert _prefix_length([M._kernel]) == max(64, 4 * M.rank) < 100
+        N, seed = 1100, 9
+        assert prefix_misses([M._kernel], N, seed)[1][0] > 0
+        assert estimate_steiner(M, N, seed).per_vertex_hits == reference_hits(M, N, seed)
+
+
+def test_a_nested_pair_falls_back_kernel_by_kernel():
+    rng = random.Random(43)
+    F = loopy_matroid(rng, gf(3), 200, 24, 4)
+    mix = [[rng.randrange(3) for _ in range(4)] for _ in range(2)]
+    rows_e = [[sum(c * r[j] for c, r in zip(m, F.space.basis.tolist())) % 3 for j in range(200)] for m in mix]
+    E = SubspaceMatroid(subspace_from_rows(rows_e, list(range(200)), gf(3)))
+    assert E.rank == 2
+    N, seed = 1500, 12
+    _, (miss_e, miss_f) = prefix_misses([E._kernel, F._kernel], N, seed)
+    assert 0 < miss_e < miss_f
+    pair = coupled_nested_estimate(E, F, N, seed)
+    assert pair.low.per_vertex_hits == reference_hits(E, N, seed)
+    assert pair.high.per_vertex_hits == reference_hits(F, N, seed)
