@@ -26,7 +26,7 @@ from .folner import (
     subspace_to_function,
 )
 from .groups import ball, family_generate, free_group, integer_line, lamplighter
-from .linalg import GF2, RATIONALS, act_subspace, gf, subspace_from_rows
+from .linalg import GF2, RATIONALS, act_subspace, align_pair, gf, subspace_from_rows
 from .matroid import (
     SubspaceMatroid,
     basis_exchange,
@@ -254,18 +254,7 @@ def criterion_7() -> CriterionResult:
             n = rng.randrange(2, 7)
             sp1 = _random_subspace(rng, field, n_max=n, d_max=3)
             sp2 = _random_subspace(rng, field, n_max=n, d_max=3)
-            # rebuild both over the same labels 0..n-1
-            labels = list(range(max(len(sp1.labels), len(sp2.labels))))
-            sp1 = subspace_from_rows(
-                [row + [0] * (len(labels) - len(row)) for row in sp1.basis_rows()],
-                labels,
-                field,
-            )
-            sp2 = subspace_from_rows(
-                [row + [0] * (len(labels) - len(row)) for row in sp2.basis_rows()],
-                labels,
-                field,
-            )
+            sp1, sp2 = align_pair(sp1, sp2)  # both over the union of their labels
             alpha = Fraction(rng.randrange(0, 5), 4)
             alpha = min(alpha, Fraction(1))
             chk = minkowski_combination_check(

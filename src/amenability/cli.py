@@ -19,18 +19,13 @@ from . import acceptance
 from .errors import AmenabilityError
 from .folner import set_report, subspace_report, subspace_to_function
 from .groups import ball, base_point, family_generate, parse_group
-from .linalg import FieldSpec, _encode_label, subspace_from_json
+from .linalg import RATIONALS, FieldSpec, _encode_label, subspace_from_json
 from .matroid import SubspaceMatroid, enumerate_bases, initial_basis
 from .profile import iso_family_upper, iso_set_exact, phi_from_table
 from .steiner import angles_from_hits, estimate_steiner
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 4096
-
-
-def _frac(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _emit(text: str, out_path) -> None:
@@ -60,10 +55,12 @@ def _report_doc(report) -> dict:
     return {
         "subject": report.subject,
         "size": report.size,
-        "per_generator": {_encode_key(k): _frac(v) for k, v in report.per_generator.items()},
-        "union_ratio": _frac(report.union_ratio),
+        "per_generator": {
+            _encode_key(k): RATIONALS.format_scalar(v) for k, v in report.per_generator.items()
+        },
+        "union_ratio": RATIONALS.format_scalar(report.union_ratio),
         "union_size": report.union_size,
-        "epsilon": _frac(report.epsilon),
+        "epsilon": RATIONALS.format_scalar(report.epsilon),
     }
 
 
@@ -73,8 +70,8 @@ def _cmd_steiner(args) -> int:
     est = estimate_steiner(M, args.samples, args.seed)
     doc = {
         "labels": [_encode_label(l) for l in est.labels],
-        "vector": [_frac(x) for x in est.vector],
-        "l1": _frac(est.l1()),
+        "vector": [RATIONALS.format_scalar(x) for x in est.vector],
+        "l1": RATIONALS.format_scalar(est.l1()),
         "samples": est.samples,
         "seed": est.seed,
         "stderr_bound": est.stderr_bound,
@@ -82,7 +79,7 @@ def _cmd_steiner(args) -> int:
     if args.angles:
         angles = angles_from_hits(M, est.per_vertex_hits, est.samples)
         doc["angles"] = [
-            {"basis": [_encode_label(l) for l in b], "weight": _frac(w)}
+            {"basis": [_encode_label(l) for l in b], "weight": RATIONALS.format_scalar(w)}
             for b, w in angles.items()
         ]
     _dump_json(doc, args.out)
@@ -122,10 +119,11 @@ def _cmd_folner(args) -> int:
         if args.samples:
             witness = subspace_to_function(obj, gens, action, args.samples, args.seed)
             doc["certificates"] = {
-                _encode_key(k): _frac(v) for k, v in witness.certificates.items()
+                _encode_key(k): RATIONALS.format_scalar(v) for k, v in witness.certificates.items()
             }
             doc["sampled_ratios"] = {
-                _encode_key(k): _frac(v) for k, v in witness.sampled_ratios.items()
+                _encode_key(k): RATIONALS.format_scalar(v)
+                for k, v in witness.sampled_ratios.items()
             }
             doc["tolerance"] = witness.tolerance
             doc["samples"] = args.samples
@@ -152,7 +150,8 @@ def _cmd_profile(args) -> int:
             "mode": table.mode,
             "window": table.window,
             "rows": [
-                {"v": r.v, "ratio": _frac(r.ratio), "witness": _witness_str(r.witness)}
+                {"v": r.v, "ratio": RATIONALS.format_scalar(r.ratio),
+                 "witness": _witness_str(r.witness)}
                 for r in table.rows
             ],
         }

@@ -5,12 +5,14 @@ independent; the bases (|S| = dim) are exactly the coordinate sets onto
 which the subspace projects isomorphically.  Greedy minimization over
 the bases is the hot loop of the Steiner-point sampler, so independence
 testing runs on each column's residues mod a prime p, kept once per
-matroid: p is the characteristic over GF(p), with bitmasks over GF(2).
-A rational subspace is scaled row by row to integers and reduced mod
-``linalg._prime_above`` of the Hadamard bound on its minors, a proven
-prime, which preserves the matroid exactly.  For the sampler a kernel
-also runs greedy on a whole block of orders at once, as numpy steps
-over per-row echelon slots of residues mod p.
+matroid: p is the characteristic over GF(p).  A rational subspace is
+scaled row by row to integers and reduced mod ``linalg._prime_above`` of
+the Hadamard bound on its minors, a proven prime, which preserves the
+matroid exactly.  One greedy serves every caller: a kernel runs it on a
+block of orders at once, as numpy steps over per-row echelon slots of
+residues mod p.  The sampler hands it a chunk of direction orders,
+``enumerate_bases`` a block of label sets, and a single order is a
+block of one row.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,60 +45,32 @@ from .linalg import (
 
 Basis = tuple  # a sorted tuple of labels
 
+BASES_BLOCK = 1024  # label sets per greedy call in ``enumerate_bases``
+
 
 class _Kernel:
-    """Greedy over a matroid's columns mod a prime p, for one order or for many at once.
+    """Greedy over a matroid's columns mod a prime p, for a block of orders at once.
 
-    ``greedy(order)`` returns the labels greedy keeps scanning ``order``,
-    sorted, stopping once it holds ``rank`` of them.  Each column's
-    residues are also kept as one ``(n, rank)`` array for
-    ``greedy_rows``: int64 when ``p < 2**31``, so a product of two
-    residues stays below 2**62, and Python ints otherwise.
+    ``residues`` holds each column's residues as one ``(n, rank)``
+    array: int64 when ``p < 2**31``, so a product of two residues stays
+    below 2**62, and Python ints otherwise.  ``greedy_rows`` is the one
+    greedy of the library: a single order is a block of one row.
     """
 
-    __slots__ = ("cols", "rank", "p", "residues")
+    __slots__ = ("rank", "p", "residues")
 
-    def __init__(self, columns, d, p):
-        self.cols = columns
-        self.rank = d
+    def __init__(self, residues: np.ndarray, p: int):
+        self.rank = residues.shape[1]
         self.p = p
-        dtype = np.int64 if p < 1 << 31 else object
-        self.residues = np.array(columns, dtype=dtype).reshape(len(columns), d)
-
-    def greedy(self, order) -> list:
-        """Incremental Gaussian elimination on residue lists."""
-        cols = self.cols
-        d = self.rank
-        p = self.p
-        pivots = []
-        kept = []
-        for idx in order:
-            c = list(cols[idx])
-            for pos, row in pivots:
-                f = c[pos]
-                if f:
-                    c = [(a - f * b) % p for a, b in zip(c, row)]
-            pos = next((j for j, x in enumerate(c) if x), -1)
-            if pos >= 0:
-                inv = pow(c[pos], -1, p)
-                pivots.append((pos, [(x * inv) % p for x in c]))
-                kept.append(idx)
-                if len(kept) == d:
-                    break
-        kept.sort()
-        return kept
-
-    def rank_of(self, indices) -> int:
-        # greedy stops once it holds d labels, and no rank exceeds d
-        return len(self.greedy(indices))
+        self.residues = residues
 
     def greedy_rows(self, order: np.ndarray) -> tuple:
         """Greedy basis for each row of a 2-D order array, as ascending label indices.
 
         Returns ``(kept, unfinished)``: ``kept`` holds one row of d label
         indices per order, and ``unfinished`` the ascending indices of the
-        rows whose labels did not reach a basis.  That happens only when
-        the orders are prefixes of the label orders; the kept rows of
+        rows whose labels did not reach a basis: a prefix of a label
+        order, or a set of labels that spans less.  The kept rows of
         unfinished orders are meaningless.
 
         Greedy runs for all rows at once, as one Gaussian elimination per
@@ -148,36 +122,6 @@ class _Kernel:
         return out, live
 
 
-class _Gf2Kernel(_Kernel):
-    """Over GF(2), ``greedy`` runs on columns as bitmasks, eliminating by XOR."""
-
-    __slots__ = ()
-
-    def __init__(self, columns, d, p):
-        super().__init__(columns, d, p)
-        self.cols = [sum(1 << r for r, v in enumerate(col) if v) for col in columns]
-
-    def greedy(self, order) -> list:
-        cols = self.cols
-        d = self.rank
-        pivots = {}
-        kept = []
-        for idx in order:
-            c = cols[idx]
-            while c:
-                low = c & (-c)
-                hit = pivots.get(low)
-                if hit is None:
-                    pivots[low] = c
-                    kept.append(idx)
-                    break
-                c ^= hit
-            if len(kept) == d:
-                break
-        kept.sort()
-        return kept
-
-
 @dataclass(frozen=True)
 class SubspaceMatroid:
     """The column matroid of a labeled subspace."""
@@ -197,26 +141,26 @@ class SubspaceMatroid:
         return {lbl: j for j, lbl in enumerate(self.space.labels)}
 
     @cached_property
-    def _kernel(self):
+    def _kernel(self) -> _Kernel:
         space = self.space
         d = space.dim
         p = space.field.characteristic
         if p:
-            rows = space.basis.tolist()
-        else:
-            # Clear denominators row by row (row scaling keeps the column
-            # matroid), then reduce mod a prime larger than any d x d minor
-            # can be in absolute value (Hadamard bound), so nonzero minors
-            # stay nonzero mod p.
-            rows = []
-            for row in space.basis:
-                denom = math.lcm(*(x.denominator for x in row))
-                rows.append([int(x * denom) for x in row])
-            big = max((abs(x) for row in rows for x in row), default=1) or 1
-            p = _prime_above(math.isqrt((d * big * big) ** d) + 1)
-            rows = [[x % p for x in row] for row in rows]
-        columns = list(zip(*rows)) if d else [()] * len(space.labels)
-        return (_Gf2Kernel if p == 2 else _Kernel)(columns, d, p)
+            return _Kernel(np.ascontiguousarray(space._array.T), p)
+        # Clear denominators row by row (row scaling keeps the column
+        # matroid), then reduce mod a prime larger than any d x d minor
+        # can be in absolute value (Hadamard bound), so nonzero minors
+        # stay nonzero mod p.
+        rows = []
+        for row in space.basis:
+            denom = math.lcm(*(x.denominator for x in row))
+            rows.append([int(x * denom) for x in row])
+        big = max((abs(x) for row in rows for x in row), default=1) or 1
+        p = _prime_above(math.isqrt((d * big * big) ** d) + 1)
+        residues = np.array(
+            [[x % p for x in row] for row in rows], dtype=np.int64 if p < 1 << 31 else object
+        )
+        return _Kernel(residues.reshape(d, len(space.labels)).T.copy(), p)
 
     def _positions(self, labels: Iterable) -> list:
         idx = self._index
@@ -229,13 +173,20 @@ class SubspaceMatroid:
 
 
 def is_independent(M: SubspaceMatroid, S: Iterable) -> bool:
-    """True iff the columns indexed by S are linearly independent."""
+    """True iff the columns indexed by S are linearly independent.
+
+    Greedy on the order S, then the other labels ascending, keeps every
+    label of S exactly when S is independent.
+    """
     pos = M._positions(S)
-    if len(set(pos)) != len(pos):
+    chosen = set(pos)
+    if len(chosen) != len(pos):
         return False
     if len(pos) > M.rank:
         return False
-    return M._kernel.rank_of(pos) == len(pos)
+    order = pos + [j for j in range(len(M.labels)) if j not in chosen]
+    kept, _ = M._kernel.greedy_rows(np.array([order], dtype=np.int64))
+    return chosen.issubset(kept[0].tolist())
 
 
 def is_basis(M: SubspaceMatroid, S: Iterable) -> bool:
@@ -274,8 +225,8 @@ def greedy_min_basis(M: SubspaceMatroid, weights: Iterable) -> Basis:
     if not finite:
         raise ShapeError("weights must be finite real numbers")
     order = sorted(range(len(M.labels)), key=lambda i: (weights[i], i))
-    kept = M._kernel.greedy(order)
-    return tuple(M.labels[i] for i in kept)
+    kept, _ = M._kernel.greedy_rows(np.array([order], dtype=np.int64))
+    return tuple(M.labels[i] for i in kept[0].tolist())
 
 
 def enumerate_bases(M: SubspaceMatroid, cap: int = 100_000) -> list:
@@ -284,8 +235,12 @@ def enumerate_bases(M: SubspaceMatroid, cap: int = 100_000) -> list:
         raise ShapeError("cap must be positive")
     d = M.rank
     out = []
-    for combo in combinations(range(len(M.labels)), d):
-        if M._kernel.rank_of(combo) == d:
+    combos = combinations(range(len(M.labels)), d)
+    while block := list(islice(combos, BASES_BLOCK)):
+        _, dependent = M._kernel.greedy_rows(np.array(block, dtype=np.int64))
+        basis = np.ones(len(block), dtype=bool)
+        basis[dependent] = False
+        for combo in compress(block, basis.tolist()):
             out.append(tuple(M.labels[i] for i in combo))
             if len(out) > cap:
                 raise CapacityError(

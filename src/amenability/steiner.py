@@ -46,7 +46,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import align_pair, contains_subspace
-from .matroid import SubspaceMatroid, is_basis
+from .matroid import SubspaceMatroid
 
 CHUNK = 512  # samples per Philox stream; fixed, part of the algorithm
 
@@ -170,7 +170,7 @@ def _shared_kept(kernels, N: int, seed: int):
     kernel holds no basis after k labels, is run again for that kernel
     on its full stable order; so the bases never depend on k.
     """
-    sampler = DirectionSampler(seed=seed, dimension=len(kernels[0].cols))
+    sampler = DirectionSampler(seed=seed, dimension=len(kernels[0].residues))
     k = _prefix_length(kernels)
 
     def run_chunk(c: int) -> list:
@@ -271,10 +271,23 @@ def estimate_steiner(M: SubspaceMatroid, samples: int, seed: int) -> SteinerEsti
 
 
 def angles_from_hits(M: SubspaceMatroid, hits: Mapping[tuple, int], samples: int) -> dict:
-    """Exterior-angle fractions from hit counts; every key is verified to be a basis."""
-    for basis in hits:
-        if not is_basis(M, basis):
-            raise InternalInvariantError(f"greedy returned a non-basis {basis!r}")
+    """Exterior-angle fractions from hit counts; every key is verified to be a basis.
+
+    One greedy call checks the keys before the first of the wrong length
+    or with an unknown label; the error raised is the first bad key's.
+    """
+    idx, keys, rows = M._index, list(hits), []
+    for basis in keys:
+        if len(basis) != M.rank or not all(lbl in idx for lbl in basis):
+            break
+        rows.append([idx[lbl] for lbl in basis])
+    _, dependent = M._kernel.greedy_rows(np.array(rows, dtype=np.int64).reshape(len(rows), M.rank))
+    first = int(dependent[0]) if dependent.size else len(rows)
+    if first < len(keys):
+        bad = keys[first]
+        if len(bad) == M.rank:
+            M._positions(bad)  # an unknown label raises DomainError
+        raise InternalInvariantError(f"greedy returned a non-basis {bad!r}")
     return {b: Fraction(c, samples) for b, c in sorted(hits.items())}
 
 

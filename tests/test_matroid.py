@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -27,6 +28,7 @@ from amenability import (
     subspace_from_rows,
     zero_subspace,
 )
+from amenability.matroid import BASES_BLOCK, _Kernel
 
 
 def make(rows, labels, field=RATIONALS):
@@ -84,6 +86,20 @@ def test_unknown_label_raises():
 def test_empty_set_is_independent():
     M = make([(1, 1)], [1, 2])
     assert is_independent(M, [])
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2, gf(3)], ids=["Q", "GF2", "GF3"])
+def test_independence_agrees_with_a_rank_oracle(field):
+    rng = random.Random(67 + field.characteristic)
+    for _ in range(15):
+        n = rng.randrange(1, 7)
+        entries = range(-2, 3) if field.is_rational else range(field.characteristic)
+        M = make([[rng.choice(entries) for _ in range(n)] for _ in range(rng.randrange(1, 4))],
+                 list(range(n)), field)
+        for size in range(min(n, M.rank + 1) + 1):
+            for S in combinations(M.labels, size):
+                S = rng.sample(S, size)  # the order of S does not matter
+                assert is_independent(M, S) == (_rank(M, S) == size <= M.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +197,37 @@ def test_enumeration_cap():
     M = make([(1, 0, 1), (0, 1, 1)], [1, 2, 3])
     with pytest.raises(CapacityError):
         enumerate_bases(M, cap=2)
+
+
+def test_enumeration_over_many_blocks_agrees_with_a_rank_oracle():
+    # rank 2 on 100 labels over GF(3): 4950 pairs, some parallel, some with a loop
+    rng = random.Random(71)
+    M = make([[rng.randrange(3) for _ in range(100)] for _ in range(2)], list(range(100)), gf(3))
+    assert M.rank == 2 and math.comb(100, 2) > 4 * BASES_BLOCK
+    expected = [S for S in combinations(M.labels, 2) if _rank(M, list(S)) == 2]
+    assert 0 < len(expected) < math.comb(100, 2)
+    assert enumerate_bases(M) == expected
+
+
+def test_a_cap_crossed_in_the_second_block_raises_before_the_third(monkeypatch):
+    # U(2, 100) over Q: the columns (1, i) are pairwise independent
+    M = make([[1] * 100, list(range(100))], list(range(100)))
+    assert enumerate_bases(M, cap=4950) == list(combinations(range(100), 2))
+    calls = []
+    greedy_rows = _Kernel.greedy_rows
+
+    def counted(kernel, order):
+        calls.append(len(order))
+        return greedy_rows(kernel, order)
+
+    monkeypatch.setattr(_Kernel, "greedy_rows", counted)
+    for cap in (BASES_BLOCK + 1, 2 * BASES_BLOCK - 1):
+        calls.clear()
+        with pytest.raises(CapacityError):
+            enumerate_bases(M, cap=cap)
+        assert calls == [BASES_BLOCK, BASES_BLOCK]
+    with pytest.raises(CapacityError):
+        enumerate_bases(M, cap=4949)
 
 
 def test_every_basis_has_rank_size_and_family_nonempty():

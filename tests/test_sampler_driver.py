@@ -2,16 +2,18 @@
 
 Batched greedy runs one elimination over residues mod p for a whole
 chunk of orders; the reference here draws the same directions, argsorts
-each row on its own and runs the kernel's one-order ``greedy``, as the
-sampler did sample by sample.  On long rows the driver sorts only a
-prefix of each order and falls back to the full stable sort row by row;
-the tests below reach that fallback on purpose and check it against the
-same reference.
+each row on its own and runs greedy on it by plain elimination over the
+field itself: Fractions over Q, so it shares no prime with the kernel
+and checks the Hadamard-prime reduction too.  On long rows the driver
+sorts only a prefix of each order and falls back to the full stable
+sort row by row; the tests below reach that fallback on purpose and
+check it against the same reference.
 """
 
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +23,7 @@ from amenability import (
     GF2,
     RATIONALS,
     DirectionSampler,
+    DomainError,
     InternalInvariantError,
     SubspaceMatroid,
     coupled_nested_estimate,
@@ -32,6 +35,7 @@ from amenability import (
     minkowski_combination_check,
     rref,
     subspace_from_rows,
+    zero_subspace,
 )
 from amenability.linalg import _MR_EXACT_BELOW
 from amenability.steiner import CHUNK, _prefix_length, _stable_prefix, _tally, angles_from_hits
@@ -54,11 +58,37 @@ def matroid_with_loops_and_parallels(rng, field, n, d):
             return SubspaceMatroid(sp)
 
 
+_COLUMNS = {}  # id(M) -> (M, its columns over the field): kept once per matroid
+
+
+def reference_greedy(M, order):
+    """The labels greedy keeps scanning ``order``, sorted, by elimination over M's field."""
+    if id(M) not in _COLUMNS:
+        _COLUMNS[id(M)] = (M, [list(col) for col in zip(*M.space.basis_rows())])
+    columns = _COLUMNS[id(M)][1]
+    p = M.space.field.characteristic
+    reduce = (lambda x: x % p) if p else (lambda x: x)
+    pivots, kept = [], []
+    for idx in order:
+        if len(kept) == M.rank:
+            break
+        c = columns[idx]
+        for pos, row in pivots:
+            if c[pos]:
+                c = [reduce(a - c[pos] * b) for a, b in zip(c, row)]
+        pos = next((j for j, x in enumerate(c) if x), None)
+        if pos is not None:
+            inv = pow(c[pos], -1, p) if p else 1 / c[pos]
+            pivots.append((pos, [reduce(x * inv) for x in c]))
+            kept.append(idx)
+    return sorted(kept)
+
+
 def reference_hits(M, N, seed):
     sampler = DirectionSampler(seed=seed, dimension=len(M.labels))
     hits = Counter()
     for w in sampler.directions(0, N):
-        kept = M._kernel.greedy(np.argsort(w, kind="stable").tolist())
+        kept = reference_greedy(M, np.argsort(w, kind="stable").tolist())
         hits[tuple(M.labels[j] for j in kept)] += 1
     return dict(sorted(hits.items()))
 
@@ -114,7 +144,7 @@ def test_greedy_rows_equal_greedy_on_seeded_orders(name):
         kernel = M._kernel
         n = len(M.labels)
         orders = np.array([rng.sample(range(n), n) for _ in range(300)])
-        expected = [kernel.greedy(row) for row in orders.tolist()]
+        expected = [reference_greedy(M, row) for row in orders.tolist()]
         kept, unfinished = kernel.greedy_rows(orders)
         assert kept.tolist() == expected and unfinished.size == 0
 
@@ -151,6 +181,52 @@ def test_angles_still_verify_every_basis():
     M = matroid_with_loops_and_parallels(random.Random(3), RATIONALS, 6, 2)
     with pytest.raises(InternalInvariantError):
         angles_from_hits(M, {(0,): 4}, 4)
+
+
+def first_bad_key(M, hits):
+    """What checking the keys one by one in hits order raises first, or None."""
+    try:
+        for basis in hits:
+            if not is_basis(M, basis):
+                raise InternalInvariantError(f"greedy returned a non-basis {basis!r}")
+    except (InternalInvariantError, DomainError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), RATIONALS], ids=["gf2", "gf3", "q"])
+def test_angles_raise_the_first_bad_key_in_hits_order(field):
+    # labels 0..4 of rank 2: 3 is a loop and 4 is parallel to 0
+    M = SubspaceMatroid(subspace_from_rows([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0]], range(5), field))
+    short, unknown, dependent = (0,), (0, 9), (0, 3)
+    for first, error in ((short, InternalInvariantError), (unknown, DomainError)):
+        for second in (short, unknown, dependent):
+            if second != first:
+                with pytest.raises(error):
+                    angles_from_hits(M, {(0, 1): 1, first: 1, second: 1, (1, 2): 1}, 4)
+    with pytest.raises(InternalInvariantError, match=r"\(0, 3\)"):
+        angles_from_hits(M, {(0, 1): 1, dependent: 1, unknown: 1}, 3)
+    bases = [(0, 1), (0, 2), (1, 2), (1, 4)]
+    pool = bases + [short, unknown, dependent, (0, 4), (1, 1), (0, 1, 2), (9,)]
+    rng = random.Random(field.characteristic)
+    for _ in range(300):
+        hits = dict.fromkeys(rng.sample(pool, rng.randrange(1, len(pool) + 1)), 1)
+        expected = first_bad_key(M, hits)
+        if expected is None:
+            angles = angles_from_hits(M, hits, len(hits))
+            assert angles == {b: Fraction(1, len(hits)) for b in sorted(hits)}
+        else:
+            with pytest.raises(expected[0]) as caught:
+                angles_from_hits(M, hits, len(hits))
+            assert str(caught.value) == expected[1]
+
+
+def test_angles_of_a_rank_zero_matroid():
+    for field in FIELDS.values():
+        M = SubspaceMatroid(zero_subspace([0, 1, 2], field))
+        assert angles_from_hits(M, {(): 5}, 5) == {(): 1}
+        with pytest.raises(InternalInvariantError):
+            angles_from_hits(M, {(): 4, (0,): 1}, 5)
 
 
 def test_nesting_is_checked_on_every_sample():
@@ -193,7 +269,7 @@ def test_thread_counts_give_identical_results(monkeypatch):
 
 def prefix_misses(kernels, N, seed):
     """The driver's rows that need the full sort: those that tie, and per kernel those left unfinished."""
-    sampler = DirectionSampler(seed=seed, dimension=len(kernels[0].cols))
+    sampler = DirectionSampler(seed=seed, dimension=len(kernels[0].residues))
     k = _prefix_length(kernels)
     ties, unfinished = 0, [0] * len(kernels)
     for c in range((N + CHUNK - 1) // CHUNK):
@@ -254,7 +330,7 @@ def test_greedy_rows_report_rows_that_a_short_order_leaves_unfinished():
         full = np.array([rng.sample(range(12), 12) for _ in range(400)])
         for width in (0, 1, M.rank, M.rank + 1, 7, 12):
             kept, unfinished = kernel.greedy_rows(full[:, :width])
-            short = [kernel.greedy(row) for row in full[:, :width].tolist()]
+            short = [reference_greedy(M, row) for row in full[:, :width].tolist()]
             assert unfinished.tolist() == [i for i, b in enumerate(short) if len(b) < M.rank]
             done = [i for i, b in enumerate(short) if len(b) == M.rank]
             assert kept[done].tolist() == [short[i] for i in done]
