@@ -311,7 +311,7 @@ def criterion_9() -> CriterionResult:
         slow = naive_iso_set(Z, window, ["+1", "-1"], 10)
         assert [(r.v, r.ratio, r.witness) for r in fast.rows] == [
             (r.v, r.ratio, r.witness) for r in slow.rows
-        ], "Gray-code search disagrees with the naive oracle"
+        ], "subset-table search disagrees with the naive oracle"
         for row in fast.rows:
             assert row.ratio == Fraction(2, row.v), f"I({row.v}) != 2/{row.v}"
             lo, hi = min(row.witness), max(row.witness)

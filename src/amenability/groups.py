@@ -249,6 +249,9 @@ def finite_action(name: str, points: Sequence, perms: Mapping[str, Sequence]) ->
     if len(set(points)) != len(points):
         raise ShapeError("points must be distinct")
     universe = set(points)
+    for g in perms:
+        if g + "^-1" in perms:
+            raise ShapeError(f"generator {g + '^-1'!r} collides with the inverse derived from {g!r}")
     tables = {}
     inverses = {}
     for g, images in perms.items():

@@ -149,14 +149,15 @@ class SubspaceMatroid:
             return _Kernel(np.ascontiguousarray(space._array.T), p)
         # Clear denominators row by row (row scaling keeps the column
         # matroid), then reduce mod a prime larger than any d x d minor
-        # can be in absolute value (Hadamard bound), so nonzero minors
-        # stay nonzero mod p.
+        # can be in absolute value, so nonzero minors stay nonzero mod p.
+        # A minor takes d entries of each row, so by Hadamard its square
+        # is at most the product over rows of each row's d largest squares.
         rows = []
         for row in space.basis:
             denom = math.lcm(*(x.denominator for x in row))
             rows.append([int(x * denom) for x in row])
-        big = max((abs(x) for row in rows for x in row), default=1) or 1
-        p = _prime_above(math.isqrt((d * big * big) ** d) + 1)
+        bound = math.prod(sum(sorted((x * x for x in row), reverse=True)[:d]) for row in rows)
+        p = _prime_above(math.isqrt(bound) + 1)
         residues = np.array(
             [[x % p for x in row] for row in rows], dtype=np.int64 if p < 1 << 31 else object
         )

@@ -2,12 +2,12 @@
 
 I(v) is the best boundary ratio over witnesses of size (or dimension)
 at most v; Phi(n) is the least v with I(v) <= 1/n.  Exact set profiles
-enumerate all subsets of a finite window in Gray-code order with
-incremental boundary bookkeeping, so each step costs O(#generators).
-Module profiles are family upper bounds only: minimizing over all
-subspaces is super-exponential even over GF(2), so the module side is
-covered by explicit span families plus the general fact that the span
-of a set witness is at least as good as the set itself.
+tabulate F u FS for every subset F of a finite window, as bitmasks
+built by doubling over the window's points, one block of 2^16 subsets
+at a time.  Module profiles are family upper bounds only: minimizing
+over all subspaces is super-exponential even over GF(2), so the module
+side is covered by explicit span families plus the general fact that
+the span of a set witness is at least as good as the set itself.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     CapacityError,
@@ -29,6 +31,9 @@ from .linalg import FieldSpec
 
 WINDOW_CAP = 24
 VMAX_CAP = 12
+
+_LOW_BITS = 16  # window bits per block of the subset table: 2^16 rows at a time
+_WORD = (1 << 64) - 1
 
 EXACT_WITHIN_WINDOW = "exact-within-window"
 FAMILY_UPPER_BOUND = "family-upper-bound"
@@ -57,15 +62,25 @@ def _require_nonincreasing(rows: Sequence[ProfileRow]) -> None:
             raise InternalInvariantError("profile ratios must be nonincreasing in v")
 
 
+def _unions(by_bit: np.ndarray) -> np.ndarray:
+    """Row F (a mask over the rows of ``by_bit``) is the OR of the rows in F."""
+    out = np.zeros((1 << len(by_bit), by_bit.shape[1]), dtype=np.uint64)
+    for b, row in enumerate(by_bit):
+        out[1 << b : 2 << b] = out[: 1 << b] | row
+    return out
+
+
 def iso_set_exact(
     action: GroupAction, window: Iterable, S, v_max: int
 ) -> ProfileTable:
     """Exact I(v) over every non-empty subset of a finite window.
 
-    Enumerates subsets in Gray-code order, updating the boundary size
-    incrementally on each single-point flip.  Minima are exact within
-    the window (the true profile minimizes over all of X); witnesses
-    are the lexicographically least among the tied optima.
+    Each point's images are computed once, point by point in sorted
+    order, so the first bad point or word raises as ``act_word`` would.
+    A table of bitmasks then holds F u FS for every subset F, and each
+    size keeps its least boundary.  Minima are exact within the window
+    (the true profile minimizes over all of X); witnesses are the
+    lexicographically least among the tied optima.
     """
     points = sorted(set(window))
     w = len(points)
@@ -77,65 +92,40 @@ def iso_set_exact(
         raise CapacityError(f"v_max must be between 1 and {VMAX_CAP}")
 
     acting = [word for _, word in _normalize_acting(S)]
-    targets = [
-        tuple(action.act_word(x, word) for word in acting) for x in points
-    ]
+    # Point i gets bit w-1-i, so among subsets of one size the largest
+    # mask is the lexicographically least sorted witness.  Each image
+    # outside the window gets a further bit, in order of first sight.
+    bit = {x: w - 1 - i for i, x in enumerate(points)}
+    reach = []
+    for x in points:
+        mask = 1 << bit[x]
+        for word in acting:
+            mask |= 1 << bit.setdefault(action.act_word(x, word), len(bit))
+        reach.append(mask)
+    words = -(-len(bit) // 64)
+    by_bit = np.array(
+        [[m >> (64 * k) & _WORD for k in range(words)] for m in reversed(reach)],
+        dtype=np.uint64,
+    )
 
-    # Gray-code walk over all subsets of the window.
-    in_set = [False] * w
-    members = set()
-    arrow_count = {}  # point -> number of (x, s) arrows landing on it, x in F
-    boundary = 0  # #(FS \ F)
+    # Row F of the table is N(F) = F u FS, so #(FS \ F) = #N(F) - #F.
+    # Each size keeps its least (boundary, complement of F) key.
+    low = min(w, _LOW_BITS)
+    low_table, high_table = _unions(by_bit[:low]), _unions(by_bit[low:])
+    index = np.arange(1 << low, dtype=np.int64)
+    low_size = np.bitwise_count(index).astype(np.int64)
+    full = (1 << w) - 1
+    least = np.full(w + 1, np.iinfo(np.int64).max)
+    for t, high in enumerate(high_table):
+        size = low_size + t.bit_count()
+        boundary = np.bitwise_count(low_table | high).sum(axis=1, dtype=np.int64) - size
+        np.minimum.at(least, size, boundary << w | (full ^ (t << low) ^ index))
 
-    def add(i: int) -> None:
-        nonlocal boundary
-        x = points[i]
-        for y in targets[i]:
-            c = arrow_count.get(y, 0) + 1
-            arrow_count[y] = c
-            if c == 1 and y not in members:
-                boundary += 1
-        members.add(x)
-        in_set[i] = True
-        if arrow_count.get(x, 0) > 0:
-            boundary -= 1
-
-    def remove(i: int) -> None:
-        nonlocal boundary
-        x = points[i]
-        members.discard(x)
-        in_set[i] = False
-        if arrow_count.get(x, 0) > 0:
-            boundary += 1
-        for y in targets[i]:
-            c = arrow_count[y] - 1
-            arrow_count[y] = c
-            if c == 0 and y not in members:
-                boundary -= 1
-
-    # best_by_size[k] = (boundary, size, witness tuple) minimizing boundary/size
     best_by_size = [None] * (v_max + 1)
-
-    def consider() -> None:
-        k = len(members)
-        if not (1 <= k <= v_max):
-            return
-        cur = best_by_size[k]
-        if cur is None or boundary * cur[1] < cur[0] * k:
-            best_by_size[k] = (boundary, k, tuple(sorted(members)))
-        elif boundary * cur[1] == cur[0] * k:
-            witness = tuple(sorted(members))
-            if witness < cur[2]:
-                best_by_size[k] = (boundary, k, witness)
-
-    total = 1 << w
-    for g in range(1, total):
-        flip = (g & -g).bit_length() - 1
-        if in_set[flip]:
-            remove(flip)
-        else:
-            add(flip)
-        consider()
+    for k in range(1, min(v_max, w) + 1):
+        boundary, complement = divmod(int(least[k]), 1 << w)
+        witness = tuple(x for x in points if not complement >> bit[x] & 1)
+        best_by_size[k] = (boundary, k, witness)
 
     rows = []
     best = None
@@ -235,7 +225,7 @@ def compare_module_vs_set(
 def naive_iso_set(action: GroupAction, window: Iterable, S, v_max: int) -> ProfileTable:
     """Independent brute-force profile: plain subset loop, no incremental state.
 
-    Exists as an oracle for testing the Gray-code search; capped harder.
+    Exists as an oracle for testing the subset-table search; capped harder.
     """
     points = sorted(set(window))
     if len(points) > 16:

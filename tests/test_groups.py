@@ -365,6 +365,15 @@ def test_finite_action_validates_permutations():
         finite_action("bad", [0, 1], {"g": [0, 0]})
 
 
+def test_finite_action_rejects_a_generator_named_like_a_derived_inverse():
+    # "g^-1" would overwrite the inverse table derived from "g".
+    doc = {"points": [0, 1, 2], "generators": {"g": [1, 2, 0], "g^-1": [2, 0, 1]}}
+    with pytest.raises(ShapeError, match=r"'g\^-1' collides"):
+        permutation_action_from_json(doc)
+    action = permutation_action_from_json({"points": [0, 1, 2], "generators": {"g^-1": [1, 2, 0]}})
+    assert action.inverses == {"g^-1": "g^-1^-1", "g^-1^-1": "g^-1"}
+
+
 def test_parse_group_specs():
     assert parse_group("Z").name == "Z"
     assert parse_group("Z^3").name == "Z^3"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from amenability import (
     subspace_from_rows,
     zero_subspace,
 )
+from amenability.linalg import _MR_EXACT_BELOW
 from amenability.matroid import BASES_BLOCK, _Kernel
 
 
@@ -241,6 +243,27 @@ def test_every_basis_has_rank_size_and_family_nonempty():
         assert bases, "the basis family of any subspace is non-empty"
         assert all(len(b) == sp.dim for b in bases)
         assert all(is_independent(M, b) for b in bases)
+
+
+@pytest.mark.parametrize(
+    "seed, count, digest",
+    [
+        (0, 18545, "31bd6d959aa61e94"),
+        (1, 18545, "5d5bef66d050dae5"),
+        (2, 18470, "d53b3c08d9854a6e"),
+        (3, 18411, "e652c677b0971285"),
+        (4, 18029, "2c4fe4c4f8ff5dee"),
+    ],
+)
+def test_rational_kernel_primes_stay_on_the_miller_rabin_path(seed, count, digest):
+    # 6 x 18 over Q with entries in -3..3; the bases were captured once
+    # from the kernel whose prime came from the whole matrix's largest entry
+    rng = random.Random(seed)
+    M = make([[rng.randint(-3, 3) for _ in range(18)] for _ in range(6)], list(range(18)))
+    assert M._kernel.p < _MR_EXACT_BELOW
+    bases = enumerate_bases(M)
+    assert len(bases) == count
+    assert hashlib.sha256(repr(bases).encode()).hexdigest()[:16] == digest
 
 
 def test_rational_and_gf_matroids_agree_on_01_matrices():

@@ -6,6 +6,7 @@ import pytest
 from amenability import (
     GF2,
     CapacityError,
+    DomainError,
     ShapeError,
     ball,
     compare_module_vs_set,
@@ -13,6 +14,7 @@ from amenability import (
     finite_action,
     free_group,
     gf,
+    integer_lattice,
     integer_line,
     iso_family_upper,
     iso_set_exact,
@@ -23,6 +25,7 @@ from amenability import (
 )
 
 Z = integer_line()
+Z2 = integer_lattice(2)
 L = lamplighter()
 LAMP_GENS = ["+1", "-1", "b"]
 
@@ -76,6 +79,84 @@ def test_random_finite_actions_match_naive_oracle():
         assert [(r.v, r.ratio, r.witness) for r in fast.rows] == [
             (r.v, r.ratio, r.witness) for r in slow.rows
         ]
+
+
+def _rows(table):
+    return [(r.v, r.ratio, r.witness) for r in table.rows]
+
+
+def _scattered_free4_window():
+    F4 = free_group(4)
+    window = random.Random(9).sample(sorted(ball(F4, (), 3)), 16)
+    return F4, window
+
+
+@pytest.mark.parametrize(
+    "action, window, S, v_max",
+    [
+        (Z, ball(Z, 17, 6), ["+1", "-1"], 8),
+        (free_group(2), sorted(ball(free_group(2), (), 2))[:16], list(free_group(2).generators), 5),
+        *[
+            (Z2, [(i, j) for i in range(a) for j in range(b)], list(Z2.generators), 5)
+            for a, b in ((4, 4), (2, 8), (8, 2))
+        ],
+        (*_scattered_free4_window(), list(free_group(4).generators), 4),
+        (Z, ball(Z, -3, 2), ["+1", "-1"], 9),
+    ],
+    ids=["Z-off-centre", "free2-16", "Z2-4x4", "Z2-2x8", "Z2-8x2", "free4-scattered", "vmax-above-w"],
+)
+def test_windows_whose_images_leave_them_match_naive_oracle(action, window, S, v_max):
+    inside = set(window)
+    outside = {action.act_word(x, s) for x in window for s in S} - inside
+    assert outside
+    fast = iso_set_exact(action, window, S, v_max)
+    slow = naive_iso_set(action, window, S, v_max)
+    assert _rows(fast) == _rows(slow)
+    assert len(fast.rows) == v_max
+
+
+def test_scattered_free4_window_needs_several_mask_words():
+    # 16 window bits plus more than 64 outside images: over 64 bits per mask.
+    F4, window = _scattered_free4_window()
+    outside = {F4.act_word(x, s) for x in window for s in F4.generators} - set(window)
+    assert len(outside) > 64
+
+
+def test_z2_window_at_the_cap():
+    window = [(i, j) for i in range(4) for j in range(6)]  # 24 points
+    table = iso_set_exact(Z2, window, Z2.generators, 12)
+    assert table.window == "24 points of Z^2"
+    # captured once from the earlier Gray-code walk over all 2^24 subsets
+    expected = [
+        (1, "4", [(0, 0)]),
+        (2, "3", [(0, 0), (0, 1)]),
+        (3, "7/3", [(0, 0), (0, 1), (1, 0)]),
+        (4, "2", [(0, 0), (0, 1), (0, 2), (1, 1)]),
+        (5, "8/5", [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]),
+        (6, "3/2", [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]),
+        (7, "10/7", [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1)]),
+        (8, "5/4", [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]),
+        (9, "11/9", [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]),
+        (10, "11/10", [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 1)]),
+        (11, "12/11", [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2),
+                       (3, 1)]),
+        (12, "1", [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3),
+                   (3, 2)]),
+    ]
+    assert _rows(table) == [(v, Fraction(r), tuple(w)) for v, r, w in expected]
+
+
+def test_window_errors_come_point_by_point_in_sorted_order():
+    action = finite_action("triangle", [0, 1, 2], {"g": [1, 2, 0]})
+    with pytest.raises(DomainError, match=r"^7 is not a point"):
+        iso_set_exact(action, [0, 9, 7], ["g"], 2)
+    # an unknown generator after a valid one: the point is checked first
+    with pytest.raises(DomainError, match=r"^5 is not a point"):
+        iso_set_exact(action, [6, 5], [("g", "zz")], 2)
+    with pytest.raises(DomainError, match="unknown generator 'zz'"):
+        iso_set_exact(action, [0, 5], [("g", "zz")], 2)
+    with pytest.raises(DomainError, match="unknown generator 'zz'"):
+        iso_set_exact(action, [6, 5], [("zz", "g")], 2)
 
 
 def test_free_group_window_is_expanding():
