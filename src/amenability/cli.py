@@ -127,7 +127,6 @@ def _cmd_folner(args) -> int:
             }
             doc["tolerance"] = witness.tolerance
             doc["samples"] = args.samples
-            doc["seed"] = args.seed
     else:
         report = set_report(obj, gens, action)
         doc = {"kind": args.family, "n": args.n, "report": _report_doc(report)}

@@ -3,10 +3,12 @@
 The three faces of almost invariance live here: finite sets with their
 translate boundary, finitely supported nonnegative functions with their
 translation defect, and finite-dimensional subspaces with the dimension
-they gain under the module action.  The two bridge constructions are
-also here: a finite set spans a subspace with a no-worse boundary
-ratio, and a subspace yields a function (its empirical Steiner point)
-whose translation defect is certified by exact dimension counts.
+they gain under the module action.  A subspace meets its translates in
+``subspace_report`` only, where every dimension is the rank of bases
+stacked over one column index.  The two bridge constructions are also
+here: a finite set spans a subspace with a no-worse boundary ratio, and
+a subspace yields a function (its empirical Steiner point) whose
+translation defect is certified by the exact ranks of that report.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
+    DomainError,
     InternalInvariantError,
     ShapeError,
 )
@@ -29,9 +32,9 @@ from .linalg import (
     FieldSpec,
     FormalCombination,
     LabeledSubspace,
-    act_subspace,
+    _rref,
+    _stacked,
     contains_subspace,
-    quotient_dim,
     subspace_from_rows,
     subspace_sum,
 )
@@ -244,29 +247,48 @@ def set_to_subspace(F: Iterable, field: FieldSpec) -> LabeledSubspace:
     the dimension of the translated sum never exceeds the size of the
     translated union, and the subspace ratio is at most the set ratio.
     """
-    points = sorted(set(F))
+    points = set(F)
+    try:
+        points = sorted(points)
+    except TypeError as exc:
+        raise ShapeError("labels must be mutually comparable") from exc
     if not points:
         raise DegenerateInputError("cannot span the empty set")
     return subspace_from_rows(np.eye(len(points), dtype=np.int64), points, field)
 
 
 def subspace_report(F: LabeledSubspace, S, action: GroupAction) -> FolnerReport:
-    """Dimension report for a subspace: dim((F + Fs)/F) / dim F per element."""
+    """Dimension report for a subspace: dim((F + Fs)/F) / dim F per element.
+
+    Every number is a rank, and a rank does not depend on the order of
+    the columns.  F's labels take columns 0..n-1 and each label met in a
+    translate takes the next free column, so a translate Fs is F's
+    basis placed at the columns of its images; dim(F + Fs) is the rank
+    of F stacked over Fs, and the union is the rank of F stacked over
+    every translate.  Each label is checked once, whatever S holds, and
+    no translate or sum is put in canonical form.
+    """
     if F.dim < 1:
         raise DegenerateInputError("the zero subspace has no boundary ratio")
     acting = _normalize_acting(S)
+    p = F.field.characteristic
+    col = F.label_index()
+    stack = [(F, slice(len(col)))]
     per = {}
-    union = F
-    for key, word in acting:
-        Fs = act_subspace(F, action, word)
-        per[key] = Fraction(quotient_dim(F, Fs), F.dim)
-        union = subspace_sum(union, Fs)
+    for (key, _), moved in zip(acting, action.act_points(F.labels, [w for _, w in acting])):
+        cols = [col.setdefault(y, len(col)) for y in moved]
+        if len(set(cols)) != len(cols):
+            raise DomainError("group element did not act injectively on the labels")
+        _, pivots = _rref(_stacked(len(col), stack[0], (F, cols)), p)
+        per[key] = Fraction(len(pivots) - F.dim, F.dim)
+        stack.append((F, cols))
+    union = len(_rref(_stacked(len(col), *stack), p)[1])
     return FolnerReport(
         subject=f"subspace of dimension {F.dim} under {action.name}",
         size=F.dim,
         per_generator=per,
-        union_ratio=Fraction(union.dim - F.dim, F.dim),
-        union_size=union.dim,
+        union_ratio=Fraction(union - F.dim, F.dim),
+        union_size=union,
     )
 
 
@@ -276,9 +298,10 @@ class FunctionWitness:
 
     ``certificates`` are the exact per-element bounds
     (dim((F+Fs)/F) + dim((F+Fs)/Fs)) / dim F on the translation defect
-    of the true Steiner point; ``sampled_ratios`` are the defects of the
-    empirical one.  The sampled value may exceed its certificate only by
-    sampling noise, capped by ``tolerance``.
+    of the true Steiner point, which is twice the subspace report's
+    ratio because dim Fs = dim F; ``sampled_ratios`` are the defects of
+    the empirical one.  The sampled value may exceed its certificate
+    only by sampling noise, capped by ``tolerance``.
     """
 
     function: WeightedFunction
@@ -296,19 +319,14 @@ def subspace_to_function(
     The function is the empirical Steiner point of F's base polytope.
     Certificates use only exact dimension counts (no sampling): the L1
     distance between the Steiner points of nested subspaces is exactly
-    the dimension gap, and F, Fs both sit inside F + Fs.
+    the dimension gap, and F, Fs both sit inside F + Fs.  They are read
+    off ``subspace_report``: both gaps equal dim(F + Fs) - dim F.
     """
     if F.dim < 1:
         raise DegenerateInputError("the zero subspace has no Steiner point")
     est = estimate_steiner(SubspaceMatroid(F), samples, seed)
     f = WeightedFunction.from_estimate(est)
-    certificates = {}
-    for key, word in _normalize_acting(S):
-        Fs = act_subspace(F, action, word)
-        merged = subspace_sum(F, Fs)
-        certificates[key] = Fraction(
-            (merged.dim - F.dim) + (merged.dim - Fs.dim), F.dim
-        )
+    certificates = {k: 2 * r for k, r in subspace_report(F, S, action).per_generator.items()}
     sampled = function_report(f, S, action)
     tolerance = 8 * est.stderr_bound * len(F.labels) / F.dim
     for key in certificates:
@@ -324,16 +342,6 @@ def subspace_to_function(
         sampled_ratios=sampled,
         tolerance=tolerance,
     )
-
-
-def _with_translates(U, S, action: GroupAction) -> int:
-    """The size of U joined with its translates: a count for a set, a dimension for a subspace."""
-    if not isinstance(U, LabeledSubspace):
-        return set_report(U, S, action).union_size
-    union = U
-    for _, word in _normalize_acting(S):
-        union = subspace_sum(union, act_subspace(U, action, word))
-    return union.dim
 
 
 @dataclass(frozen=True)
@@ -366,7 +374,7 @@ def absorb_finite(F_core, U, S, action: GroupAction) -> AbsorbResult:
     combined = join(core, U)
     combined_report = report(combined, S, action)
     core_report = report(core, S, action)
-    u_union = 0 if u_empty else _with_translates(U, S, action)
+    u_union = 0 if u_empty else report(U, S, action).union_size
     bound = Fraction(
         (core_report.union_size - core_report.size) + u_union, core_report.size
     )

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, InvalidFieldError, ShapeError
-from .linalg import FieldSpec, subspace_from_rows
+from .linalg import FieldSpec, _decode_label, subspace_from_rows
 
 Point = Any
 
@@ -244,19 +244,35 @@ def free_group(rank: int) -> GroupAction:
 
 
 def finite_action(name: str, points: Sequence, perms: Mapping[str, Sequence]) -> GroupAction:
-    """A finite right action given by one permutation (list of images) per generator."""
-    points = [tuple(p) if isinstance(p, list) else p for p in points]
-    if len(set(points)) != len(points):
+    """A finite right action given by one permutation (list of images) per generator.
+
+    Points and images are read as subspace labels are: lists, nested or
+    not, become tuples.  The points must be hashable, distinct and
+    mutually comparable, so that they can serve as coordinate labels.
+    """
+    points = [_decode_label(p) for p in points]
+    try:
+        universe = set(points)
+    except TypeError as exc:
+        raise ShapeError(f"points must be hashable: {exc}") from exc
+    if len(universe) != len(points):
         raise ShapeError("points must be distinct")
-    universe = set(points)
+    try:
+        sorted(points)
+    except TypeError as exc:
+        raise ShapeError("points must be mutually comparable") from exc
     for g in perms:
         if g + "^-1" in perms:
             raise ShapeError(f"generator {g + '^-1'!r} collides with the inverse derived from {g!r}")
     tables = {}
     inverses = {}
     for g, images in perms.items():
-        images = [tuple(p) if isinstance(p, list) else p for p in images]
-        if len(images) != len(points) or set(images) != universe:
+        images = [_decode_label(p) for p in images]
+        try:
+            permutes = len(images) == len(points) and set(images) == universe
+        except TypeError:  # an unhashable image is no point
+            permutes = False
+        if not permutes:
             raise ShapeError(f"generator {g!r} is not a permutation of the points")
         tables[g] = {p: q for p, q in zip(points, images)}
         tables[g + "^-1"] = {q: p for p, q in zip(points, images)}

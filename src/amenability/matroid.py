@@ -346,7 +346,7 @@ def basis_exchange(E: SubspaceMatroid, F: SubspaceMatroid, S, T, k) -> object:
     Esp, Fsp = align_pair(E.space, F.space)
     eps = _dual_basis_rows(Esp, S)[k]
     phi = _dual_basis_rows(Fsp, T)
-    idx = {lbl: j for j, lbl in enumerate(Fsp.labels)}
+    idx = Fsp.label_index()
     k_col = idx[k]
     for ell in T:
         if eps[idx[ell]] != 0 and phi[ell][k_col] != 0:

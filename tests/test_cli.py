@@ -209,6 +209,22 @@ def test_folner_capacity_error_is_structured(capsys):
     assert json.loads(out)["error"]["type"] == "CapacityError"
 
 
+@pytest.mark.parametrize(
+    "points, images, error",
+    [
+        # nested lists are read as tuples, so the action loads and the family's points are refused
+        ([[1, [2]], [3]], [[3], [1, [2]]], {"type": "DomainError", "message": "1 is not a point of the nested action"}),
+        ([1, "a"], ["a", 1], {"type": "ShapeError", "message": "points must be mutually comparable"}),
+    ],
+)
+def test_folner_on_finite_action_points_gives_structured_error(tmp_path, points, images, error, capsys):
+    path = tmp_path / "perm.json"
+    path.write_text(json.dumps({"name": "nested", "points": points, "generators": {"r": images}}))
+    code, out = run_cli(capsys, "folner", "--group", f"perm:{path}", "--family", "z-interval", "--n", "2")
+    assert code == 1
+    assert json.loads(out)["error"] == error
+
+
 # ---------------------------------------------------------------------------
 # profile
 

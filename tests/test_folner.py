@@ -8,6 +8,7 @@ from amenability import (
     LAMP_IDENTITY,
     RATIONALS,
     DegenerateInputError,
+    DomainError,
     FormalCombination,
     ShapeError,
     WeightedFunction,
@@ -20,11 +21,13 @@ from amenability import (
     finite_action,
     free_group,
     function_report,
+    GroupAction,
     gf,
     integer_lattice,
     integer_line,
     lamplighter,
     layer_cake,
+    quotient_dim,
     set_report,
     set_to_subspace,
     subspace_from_rows,
@@ -280,6 +283,11 @@ def test_singleton_spans_a_line():
     assert sp.labels == (7,)
 
 
+def test_set_to_subspace_rejects_points_that_do_not_compare():
+    with pytest.raises(ShapeError, match="labels must be mutually comparable"):
+        set_to_subspace([1, "a"], GF2)
+
+
 def test_interval_span_ratio_matches_set_ratio():
     pts = family_generate("z-interval", 4)
     sp = set_to_subspace(pts, GF2)
@@ -323,6 +331,64 @@ def test_zero_subspace_is_rejected():
     sp = subspace_from_rows([(0, 0)], [1, 2], GF2)
     with pytest.raises(DegenerateInputError):
         subspace_report(sp, ["+1"], Z)
+
+
+def _canonical_report(F, keys, action):
+    """Per-element ratios, union dimension and certificates through canonical translates and sums."""
+    per, certificates, union = {}, {}, F
+    for key in keys:
+        Fs = act_subspace(F, action, (key,) if isinstance(key, str) else key)
+        per[key] = Fraction(quotient_dim(F, Fs), F.dim)
+        merged = subspace_sum(F, Fs)
+        certificates[key] = Fraction((merged.dim - F.dim) + (merged.dim - Fs.dim), F.dim)
+        union = subspace_sum(union, Fs)
+    return per, union.dim, certificates
+
+
+def _random_span(rng, labels, field, d):
+    rows = [[rng.randrange(3) for _ in labels] for _ in range(d)]
+    return subspace_from_rows(rows, labels, field)
+
+
+_RNG = random.Random(12)
+_BOX = family_generate("lamp-box", 2)
+_COMBINATION = FormalCombination(GF2, {"+1": 1, ("-1", "-1"): 1, "b": 1})
+_MIXED = [("+1", "b"), "-1"]
+_CYCLE = ["r", ("r", "r"), "r^-1"]
+
+
+@pytest.mark.parametrize(
+    "F, S, action, keys",
+    [
+        (family_generate("lamp-span", 3, GF2), LAMP_GENS, L, LAMP_GENS),
+        (family_generate("lamp-span", 3, gf(3)), _MIXED, L, _MIXED),
+        (family_generate("lamp-span", 2, RATIONALS), LAMP_GENS, L, LAMP_GENS),
+        (_random_span(_RNG, _BOX, gf(3), 6), LAMP_GENS, L, LAMP_GENS),
+        (_random_span(_RNG, _BOX, RATIONALS, 5), ["b", ("b", "+1")], L, ["b", ("b", "+1")]),
+        (family_generate("lamp-span", 2, GF2), _COMBINATION, L, ["+1", ("-1", "-1"), "b"]),
+        (family_generate("z-interval-span", 5, RATIONALS), ["+1", ("-1", "-1")], Z, ["+1", ("-1", "-1")]),
+        (set_to_subspace([0, 1, 2, 5], GF2), ["+1", "-1"], Z, ["+1", "-1"]),
+        (_random_span(_RNG, list(range(5)), gf(3), 3), _CYCLE, cycle_action(8), _CYCLE),
+    ],
+)
+def test_report_matches_canonical_translates(F, S, action, keys):
+    per, union_size, certificates = _canonical_report(F, keys, action)
+    rep = subspace_report(F, S, action)
+    assert list(rep.per_generator) == keys
+    assert rep.per_generator == per
+    assert rep.union_size == union_size
+    assert subspace_to_function(F, S, action, samples=256, seed=7).certificates == certificates
+
+
+@pytest.mark.parametrize("target", [0, 1])
+def test_a_non_injective_element_is_a_domain_error(target):
+    # "c" maps both labels onto one point, outside F or inside it
+    collapse = GroupAction(name="collapse", generators=("c",), inverses={"c": "c"}, apply=lambda x, g: target)
+    F = set_to_subspace([1, 2], GF2)
+    with pytest.raises(DomainError, match="did not act injectively"):
+        act_subspace(F, collapse, "c")
+    with pytest.raises(DomainError, match="did not act injectively"):
+        subspace_report(F, ["c"], collapse)
 
 
 def test_report_is_relabeling_invariant():

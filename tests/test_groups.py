@@ -365,6 +365,26 @@ def test_finite_action_validates_permutations():
         finite_action("bad", [0, 1], {"g": [0, 0]})
 
 
+def test_finite_action_reads_nested_lists_as_tuples():
+    doc = {"points": [[1, [2]], [3]], "generators": {"r": [[3], [1, [2]]]}}
+    action = permutation_action_from_json(doc)
+    assert action.act_word((1, (2,)), "r") == (3,)
+    assert action.act_word((3,), "r^-1") == (1, (2,))
+
+
+@pytest.mark.parametrize(
+    "points, images, message",
+    [
+        ([1, "a"], ["a", 1], "points must be mutually comparable"),
+        ([1, {"a": 1}], [{"a": 1}, 1], "points must be hashable"),
+        ([1, 2], [1, {"a": 1}], "generator 'r' is not a permutation of the points"),
+    ],
+)
+def test_finite_action_rejects_points_that_cannot_be_labels(points, images, message):
+    with pytest.raises(ShapeError, match=message):
+        permutation_action_from_json({"points": points, "generators": {"r": images}})
+
+
 def test_finite_action_rejects_a_generator_named_like_a_derived_inverse():
     # "g^-1" would overwrite the inverse table derived from "g".
     doc = {"points": [0, 1, 2], "generators": {"g": [1, 2, 0], "g^-1": [2, 0, 1]}}
