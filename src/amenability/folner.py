@@ -324,9 +324,10 @@ def subspace_to_function(
     """
     if F.dim < 1:
         raise DegenerateInputError("the zero subspace has no Steiner point")
+    # S is read (and refused) before any sampling
+    certificates = {k: 2 * r for k, r in subspace_report(F, S, action).per_generator.items()}
     est = estimate_steiner(SubspaceMatroid(F), samples, seed)
     f = WeightedFunction.from_estimate(est)
-    certificates = {k: 2 * r for k, r in subspace_report(F, S, action).per_generator.items()}
     sampled = function_report(f, S, action)
     tolerance = 8 * est.stderr_bound * len(F.labels) / F.dim
     for key in certificates:

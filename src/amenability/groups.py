@@ -282,12 +282,18 @@ def finite_action(name: str, points: Sequence, perms: Mapping[str, Sequence]) ->
     def apply(x, g):
         return tables[g][x]
 
+    def valid(x):
+        try:
+            return x in universe
+        except TypeError:  # an unhashable point is no point
+            return False
+
     return GroupAction(
         name=name,
         generators=tuple(sorted(tables)),
         inverses=inverses,
         apply=apply,
-        validate=lambda x: x in universe,
+        validate=valid,
     )
 
 
@@ -308,12 +314,15 @@ def parse_group(spec: str) -> GroupAction:
     """Group spec strings for the CLI: Z, Z^d, lamplighter, free:k, perm:file."""
     if spec == "Z":
         return integer_line()
-    if spec.startswith("Z^"):
-        return integer_lattice(int(spec[2:]))
     if spec == "lamplighter":
         return lamplighter()
-    if spec.startswith("free:"):
-        return free_group(int(spec.split(":", 1)[1]))
+    for prefix, make in (("Z^", integer_lattice), ("free:", free_group)):
+        if spec.startswith(prefix):
+            try:
+                count = int(spec[len(prefix) :])
+            except ValueError:
+                break  # not a count: an unknown spec
+            return make(count)
     if spec.startswith("perm:"):
         return permutation_action_from_json(spec.split(":", 1)[1])
     raise DomainError(f"unknown group spec {spec!r}")

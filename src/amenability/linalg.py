@@ -547,6 +547,8 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
         big = _to_array(np.zeros((F.dim, len(new_labels)), dtype=bool), F.field)
         for word, coeff in r.items():
             cols = [moved[y] for y in targets[word]]
+            if len(set(cols)) != len(cols):
+                raise DomainError("group element did not act injectively on the labels")
             big[:, cols] = _mod(big[:, cols] + coeff * F._array, p)
         return subspace_from_rows(big, new_labels, F.field)
 

@@ -3,16 +3,17 @@
 A label set S is independent when the columns it indexes are linearly
 independent; the bases (|S| = dim) are exactly the coordinate sets onto
 which the subspace projects isomorphically.  Greedy minimization over
-the bases is the hot loop of the Steiner-point sampler, so independence
-testing runs on each column's residues mod a prime p, kept once per
-matroid: p is the characteristic over GF(p).  A rational subspace is
-scaled row by row to integers and reduced mod ``linalg._prime_above`` of
-the Hadamard bound on its minors, a proven prime, which preserves the
-matroid exactly.  One greedy serves every caller: a kernel runs it on a
-block of orders at once, as numpy steps over per-row echelon slots of
-residues mod p.  The sampler hands it a chunk of direction orders,
-``enumerate_bases`` a block of label sets, and a single order is a
-block of one row.
+the bases is the hot loop of the Steiner-point sampler, so greedy runs
+on each column's residues mod a prime p, kept once per matroid:
+p is the characteristic over GF(p).  A rational subspace is scaled row
+by row to integers and reduced mod ``linalg._prime_above`` of the
+Hadamard bound on its minors, a proven prime, which preserves the
+matroid exactly.  Greedy in a column order keeps the pivots of an
+elimination in that order.  A single order (``greedy_min_basis`` and
+the nested-pair moves) is one ``linalg._rref`` of the residues; a block
+of orders (the sampler's chunks of directions, ``enumerate_bases``'
+label sets) is one ``_Kernel.greedy_rows`` call, as numpy steps over
+per-row echelon slots.  Independence is a rank over the field itself.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .linalg import (
     _prime_above,
     _rref,
     _to_array,
-    align_pair,
     contains_subspace,
 )
 
@@ -53,8 +53,8 @@ class _Kernel:
 
     ``residues`` holds each column's residues as one ``(n, rank)``
     array: int64 when ``p < 2**31``, so a product of two residues stays
-    below 2**62, and Python ints otherwise.  ``greedy_rows`` is the one
-    greedy of the library: a single order is a block of one row.
+    below 2**62, and Python ints otherwise.  ``greedy_rows`` runs greedy
+    for a block of orders at once.
     """
 
     __slots__ = ("rank", "p", "residues")
@@ -173,21 +173,43 @@ class SubspaceMatroid:
         return out
 
 
-def is_independent(M: SubspaceMatroid, S: Iterable) -> bool:
-    """True iff the columns indexed by S are linearly independent.
+def _eliminate(M: SubspaceMatroid, order: Sequence[int]):
+    """``_rref`` of the kernel's residues with M's columns taken in ``order``.
 
-    Greedy on the order S, then the other labels ascending, keeps every
-    label of S exactly when S is independent.
+    Every minor of at most rank size is below the kernel prime in
+    absolute value, so it keeps its zero pattern mod p: the pivots are
+    those over the field.
+    """
+    kernel = M._kernel
+    return _rref(np.ascontiguousarray(kernel.residues[order].T), kernel.p)
+
+
+def _greedy(M: SubspaceMatroid, order: Sequence[int]) -> list:
+    """Greedy in a column order: the ascending columns that each enlarge the span."""
+    _, pivots = _eliminate(M, order)
+    return sorted(order[c] for c in pivots)
+
+
+def _leading(M: SubspaceMatroid, labels: Sequence) -> list:
+    """M's columns with those of ``labels`` first, then the rest ascending."""
+    lead = M._positions(labels)
+    rest = set(lead)
+    return lead + [j for j in range(len(M.labels)) if j not in rest]
+
+
+def is_independent(M: SubspaceMatroid, S: Iterable) -> bool:
+    """True iff the columns indexed by S have rank |S| over the field.
+
+    Only S's columns are read: over Q the whole basis as one array costs
+    a Fraction conversion per entry.
     """
     pos = M._positions(S)
-    chosen = set(pos)
-    if len(chosen) != len(pos):
+    if len(set(pos)) != len(pos) or len(pos) > M.rank:
         return False
-    if len(pos) > M.rank:
-        return False
-    order = pos + [j for j in range(len(M.labels)) if j not in chosen]
-    kept, _ = M._kernel.greedy_rows(np.array([order], dtype=np.int64))
-    return chosen.issubset(kept[0].tolist())
+    sp = M.space
+    cols = _to_array([[row[j] for j in pos] for row in sp.basis], sp.field, len(pos))
+    _, pivots = _rref(cols, sp.field.characteristic)
+    return len(pivots) == len(pos)
 
 
 def is_basis(M: SubspaceMatroid, S: Iterable) -> bool:
@@ -226,8 +248,7 @@ def greedy_min_basis(M: SubspaceMatroid, weights: Iterable) -> Basis:
     if not finite:
         raise ShapeError("weights must be finite real numbers")
     order = sorted(range(len(M.labels)), key=lambda i: (weights[i], i))
-    kept, _ = M._kernel.greedy_rows(np.array([order], dtype=np.int64))
-    return tuple(M.labels[i] for i in kept[0].tolist())
+    return tuple(M.labels[j] for j in _greedy(M, order))
 
 
 def enumerate_bases(M: SubspaceMatroid, cap: int = 100_000) -> list:
@@ -264,36 +285,16 @@ def _check_basis(M: SubspaceMatroid, S, what: str) -> None:
         raise InvalidBasisError(f"{what} {tuple(S)!r} is not a basis")
 
 
-def _rref_leading(space: LabeledSubspace, lead: Sequence[int]):
-    """RREF of a basis with the columns ``lead`` moved first, then moved back.
-
-    Returns ``(matrix, pivots)``: the reduced rows as an array in the
-    space's column order, and the pivots as columns of the space, in the
-    order with ``lead`` first.
-    """
-    rest = set(lead)
-    order = list(lead) + [j for j in range(len(space.labels)) if j not in rest]
-    a = _to_array(space.basis, space.field, len(order)).take(order, axis=1)
-    reduced, pivots = _rref(a, space.field.characteristic)
-    back = np.empty_like(reduced)
-    back[:, order] = reduced
-    return back, tuple(order[c] for c in pivots)
-
-
 def basis_extend(E: SubspaceMatroid, F: SubspaceMatroid, S: Iterable) -> Basis:
     """Grow a basis of E <= F into a basis of F containing it.
 
-    The pivots of F's RREF with the S-columns leading are the greedy
-    basis of F in that column order: S itself, then the labels outside
-    S, in ascending order, that each enlarge the span.
+    Greedy on F with the S-columns first: S itself, then the labels
+    outside S, in ascending order, that each enlarge the span.
     """
     S = tuple(sorted(S))
     _check_nested(E, F)
     _check_basis(E, S, "basis of the smaller subspace")
-    Fsp = F.space
-    idx = Fsp.label_index()
-    _, pivots = _rref_leading(Fsp, [idx[lbl] for lbl in S])
-    T = tuple(sorted(S + tuple(Fsp.labels[j] for j in pivots[len(S):])))
+    T = tuple(F.labels[j] for j in _greedy(F, _leading(F, S)))
     if not is_basis(F, T):
         raise InternalInvariantError("extension failed the independence recheck")
     return T
@@ -302,31 +303,30 @@ def basis_extend(E: SubspaceMatroid, F: SubspaceMatroid, S: Iterable) -> Basis:
 def basis_restrict(E: SubspaceMatroid, F: SubspaceMatroid, T: Iterable) -> Basis:
     """Shrink a basis of F down to a basis of E <= F contained in it.
 
-    Projects E onto the coordinates of T and takes the pivot labels of
-    the projection.
+    Greedy on E over the labels of T, in ascending order; the labels of
+    T outside E carry zero columns of E and are never kept.
     """
     T = tuple(sorted(T))
     _check_nested(E, F)
     _check_basis(F, T, "basis of the larger subspace")
-    # Over the labels of E + F, the labels of T outside E carry zero columns.
-    Esp, _ = align_pair(E.space, F.space)
-    idx = Esp.label_index()
-    projected = Esp._array[:, [idx[lbl] for lbl in T]]
-    _, pivots = _rref(projected, Esp.field.characteristic)
-    S = tuple(T[c] for c in pivots)
+    S = tuple(E.labels[j] for j in _greedy(E, [E._index[lbl] for lbl in T if lbl in E._index]))
     if not is_basis(E, S):
         raise InternalInvariantError("restriction failed the independence recheck")
     return S
 
 
-def _dual_basis_rows(space: LabeledSubspace, S: Sequence) -> dict:
-    """For each s in S, the unique basis vector whose S-coordinates are e_s."""
-    idx = space.label_index()
-    lead = [idx[lbl] for lbl in S]
-    reduced, pivots = _rref_leading(space, lead)
-    if pivots != tuple(lead):
-        raise InvalidBasisError(f"{tuple(S)!r} is not a basis")
-    return dict(zip(S, reduced.tolist()))
+def _dual_basis(M: SubspaceMatroid, B: Sequence) -> np.ndarray:
+    """The dual basis of a basis B of M, mod the kernel prime, in M's column order.
+
+    Row i is the vector of M's row space whose B-coordinates are e_i:
+    the RREF with B's columns first.  Each entry is a ratio of minors,
+    so it is zero mod p exactly when it is zero over the field.
+    """
+    order = _leading(M, B)
+    reduced, _ = _eliminate(M, order)
+    dual = np.empty_like(reduced)
+    dual[:, order] = reduced
+    return dual
 
 
 def basis_exchange(E: SubspaceMatroid, F: SubspaceMatroid, S, T, k) -> object:
@@ -335,6 +335,7 @@ def basis_exchange(E: SubspaceMatroid, F: SubspaceMatroid, S, T, k) -> object:
     Uses the coordinate pairing of dual bases: picks the smallest l in T
     whose dual-basis coefficients eps_k[l] and phi_l[k] are both nonzero;
     then S - {k} + {l} is a basis of E and T - {l} + {k} a basis of F.
+    Labels of T outside E carry zero columns of E, so eps_k is 0 there.
     """
     S = tuple(sorted(S))
     T = tuple(sorted(T))
@@ -343,13 +344,11 @@ def basis_exchange(E: SubspaceMatroid, F: SubspaceMatroid, S, T, k) -> object:
     _check_basis(F, T, "basis of the larger subspace")
     if k not in S:
         raise InvalidBasisError(f"{k!r} is not a member of the given basis")
-    Esp, Fsp = align_pair(E.space, F.space)
-    eps = _dual_basis_rows(Esp, S)[k]
-    phi = _dual_basis_rows(Fsp, T)
-    idx = Fsp.label_index()
-    k_col = idx[k]
-    for ell in T:
-        if eps[idx[ell]] != 0 and phi[ell][k_col] != 0:
+    eps = _dual_basis(E, S)[S.index(k)]
+    phi = _dual_basis(F, T)[:, F._index[k]]
+    col = E._index
+    for ell, phi_ell in zip(T, phi.tolist()):
+        if phi_ell and ell in col and eps[col[ell]]:
             new_S = tuple(sorted(set(S) - {k} | {ell}))
             new_T = tuple(sorted(set(T) - {ell} | {k}))
             if not (is_basis(E, new_S) and is_basis(F, new_T)):

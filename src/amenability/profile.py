@@ -121,22 +121,15 @@ def iso_set_exact(
         boundary = np.bitwise_count(low_table | high).sum(axis=1, dtype=np.int64) - size
         np.minimum.at(least, size, boundary << w | (full ^ (t << low) ^ index))
 
-    best_by_size = [None] * (v_max + 1)
-    for k in range(1, min(v_max, w) + 1):
-        boundary, complement = divmod(int(least[k]), 1 << w)
-        witness = tuple(x for x in points if not complement >> bit[x] & 1)
-        best_by_size[k] = (boundary, k, witness)
-
+    # A running minimum of (ratio, witness): ties keep the lesser witness.
+    # Size 1 always has a candidate (w >= 1); sizes past w add none.
     rows = []
-    best = None
     for v in range(1, v_max + 1):
-        cand = best_by_size[v]
-        if cand is not None:
-            ratio = Fraction(cand[0], cand[1])
-            if best is None or ratio < best[0] or (ratio == best[0] and cand[2] < best[1]):
-                best = (ratio, cand[2])
-        if best is None:
-            continue
+        if v <= w:
+            boundary, complement = divmod(int(least[v]), 1 << w)
+            witness = tuple(x for x in points if not complement >> bit[x] & 1)
+            cand = (Fraction(boundary, v), witness)
+            best = cand if v == 1 else min(best, cand)
         rows.append(ProfileRow(v=v, ratio=best[0], witness=best[1]))
     table = ProfileTable(
         rows=tuple(rows),

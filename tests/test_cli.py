@@ -225,6 +225,13 @@ def test_folner_on_finite_action_points_gives_structured_error(tmp_path, points,
     assert json.loads(out)["error"] == error
 
 
+@pytest.mark.parametrize("spec", ["Z^x", "free:x", "free:"])
+def test_folner_on_a_malformed_group_spec_gives_structured_error(spec, capsys):
+    code, out = run_cli(capsys, "folner", "--group", spec, "--family", "z-interval", "--n", "3")
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "DomainError", "message": f"unknown group spec {spec!r}"}
+
+
 # ---------------------------------------------------------------------------
 # profile
 

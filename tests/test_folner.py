@@ -37,6 +37,7 @@ from amenability import (
     SubspaceMatroid,
     zero_subspace,
 )
+from amenability import folner
 
 Z = integer_line()
 L = lamplighter()
@@ -389,6 +390,10 @@ def test_a_non_injective_element_is_a_domain_error(target):
         act_subspace(F, collapse, "c")
     with pytest.raises(DomainError, match="did not act injectively"):
         subspace_report(F, ["c"], collapse)
+    # a combination maps (1, 2) to (1 + 2) e_target = 0 over GF(3); no word may merge labels
+    G = subspace_from_rows([(1, 2)], [1, 2], gf(3))
+    with pytest.raises(DomainError, match="did not act injectively"):
+        act_subspace(G, collapse, FormalCombination(gf(3), {"c": 1}))
 
 
 def test_report_is_relabeling_invariant():
@@ -444,6 +449,17 @@ def test_function_is_the_steiner_estimate():
         lbl: val for lbl, val in zip(est.labels, est.vector) if val
     }
     assert w.function.l1() == sp.dim
+
+
+def test_acting_elements_are_read_before_sampling(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the Steiner point was sampled before S was read")
+
+    monkeypatch.setattr(folner, "estimate_steiner", unreachable)
+    F = family_generate("lamp-span", 3, GF2)
+    for samples in (20_000, 0):  # with bad S and a bad sample count, S is refused first
+        with pytest.raises(DomainError, match="unknown generator 'zz'"):
+            subspace_to_function(F, ["zz"], L, samples=samples, seed=1)
 
 
 def test_sampled_ratios_are_the_function_report():

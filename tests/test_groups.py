@@ -394,13 +394,21 @@ def test_finite_action_rejects_a_generator_named_like_a_derived_inverse():
     assert action.inverses == {"g^-1": "g^-1^-1", "g^-1^-1": "g^-1"}
 
 
+def test_an_unhashable_point_is_not_a_point_of_a_finite_action():
+    action = finite_action("f", [0, 1], {"r": [1, 0]})
+    with pytest.raises(DomainError, match=r"\[0\] is not a point of the f action"):
+        action.act_word([0], "r")
+
+
 def test_parse_group_specs():
     assert parse_group("Z").name == "Z"
     assert parse_group("Z^3").name == "Z^3"
     assert parse_group("lamplighter").name == "lamplighter"
     assert parse_group("free:2").name == "free:2"
-    with pytest.raises(DomainError):
-        parse_group("so3")
+    for spec in ("so3", "Z^x", "Z^", "free:x", "free:"):  # a spec without a count is unknown too
+        with pytest.raises(DomainError) as err:
+            parse_group(spec)
+        assert str(err.value) == f"unknown group spec {spec!r}"
 
 
 def test_base_points():

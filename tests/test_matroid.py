@@ -278,12 +278,13 @@ def test_rational_and_gf_matroids_agree_on_01_matrices():
         Mq = SubspaceMatroid(sq)
         for size in range(1, sq.dim + 1):
             for combo in combinations(range(n), size):
-                expected = _rational_rank(sq.basis_rows(), combo) == size
+                expected = _field_rank(sq.basis_rows(), combo) == size
                 assert is_independent(Mq, combo) == expected
 
 
-def _rational_rank(rows, cols):
-    sub = [[Fraction(row[c]) for c in cols] for row in rows]
+def _field_rank(rows, cols, p=0):
+    """Rank of the columns ``cols`` by Gaussian elimination over GF(p), or over Q when p = 0."""
+    sub = [[row[c] if p else Fraction(row[c]) for c in cols] for row in rows]
     rank = 0
     ncols = len(cols)
     for c in range(ncols):
@@ -291,10 +292,11 @@ def _rational_rank(rows, cols):
         if piv is None:
             continue
         sub[rank], sub[piv] = sub[piv], sub[rank]
+        inv = pow(sub[rank][c], -1, p) if p else 1 / sub[rank][c]
         for i in range(len(sub)):
             if i != rank and sub[i][c] != 0:
-                f = sub[i][c] / sub[rank][c]
-                sub[i] = [a - f * b for a, b in zip(sub[i], sub[rank])]
+                f = sub[i][c] * inv
+                sub[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(sub[i], sub[rank])]
         rank += 1
     return rank
 
@@ -405,13 +407,24 @@ def _rank(M, labels):
     return rref(rows, M.space.field)[1] if rows and labels else 0
 
 
-def _greedy(M, start, candidates):
-    """``start`` plus each candidate, in ascending order, that raises the rank."""
-    kept = list(start)
-    for lbl in sorted(candidates):
-        if lbl not in kept and _rank(M, kept + [lbl]) > len(kept):
+def _reference_rank(M, labels):
+    """Rank over M's field of the columns ``labels``; a label outside M is a zero column."""
+    idx = M.space.label_index()
+    rows = [[row[idx[lbl]] if lbl in idx else 0 for lbl in labels] for row in M.space.basis_rows()]
+    return _field_rank(rows, range(len(labels)), M.space.field.characteristic)
+
+
+def _reference_greedy(M, order):
+    """The labels of ``order`` that each raise the rank, ascending."""
+    kept = []
+    for lbl in order:
+        if _reference_rank(M, kept + [lbl]) > len(kept):
             kept.append(lbl)
     return tuple(sorted(kept))
+
+
+def _reference_is_basis(M, labels):
+    return len(labels) == M.rank and _reference_rank(M, sorted(labels)) == M.rank
 
 
 @pytest.mark.parametrize("field", [RATIONALS, GF2, gf(3), gf(31)], ids=["Q", "GF2", "GF3", "GF31"])
@@ -423,8 +436,70 @@ def test_extend_and_restrict_are_greedy_against_a_rank_oracle(field):
         # arbitrary bases, not only the pivot ones
         S = greedy_min_basis(E, [rng.random() for _ in range(n)])
         T = greedy_min_basis(F, [rng.random() for _ in range(n)])
-        assert basis_extend(E, F, S) == _greedy(F, S, F.labels)
-        assert basis_restrict(E, F, T) == _greedy(E, (), T)
+        assert basis_extend(E, F, S) == _reference_greedy(F, list(S) + [x for x in F.labels if x not in S])
+        assert basis_restrict(E, F, T) == _reference_greedy(E, T)
+
+
+def _spanned_pair(rng, F_rows, n_E, draw):
+    """E spanned by ``n_E`` random combinations of the rows of F, over Q."""
+    labels = list(range(len(F_rows[0])))
+    F = subspace_from_rows(F_rows, labels, RATIONALS)
+    base = F.basis_rows()
+    E_rows = [
+        [sum(c * row[j] for c, row in zip(coeffs, base)) for j in labels]
+        for coeffs in ([draw() for _ in base] for _ in range(n_E))
+    ]
+    return SubspaceMatroid(subspace_from_rows(E_rows, labels, RATIONALS)), SubspaceMatroid(F)
+
+
+def _move_cases(kind):
+    """Seeded nested pairs over one field, or rational pairs with large kernel primes."""
+    if kind == "Q-object":  # residues as Python ints, primes on the Miller-Rabin path
+        for seed in range(2):
+            rng = random.Random(seed)
+            draw = lambda: rng.randint(-3, 3)
+            yield _spanned_pair(rng, [[draw() for _ in range(18)] for _ in range(6)], 3, draw)
+        return
+    if kind == "Q-proth":  # primes past the Miller-Rabin bound
+        for seed in range(2):
+            rng = random.Random(seed)
+            yield _spanned_pair(
+                rng, [[rng.randint(-999, 999) for _ in range(8)] for _ in range(4)], 2,
+                lambda: rng.randint(-9, 9),
+            )
+        return
+    field = {"GF2": GF2, "GF3": gf(3), "GF31": gf(31), "Q": RATIONALS}[kind]
+    rng = random.Random(83 + field.characteristic)
+    for _ in range(25):
+        yield _nested_pair(rng, rng.randrange(1, 9), field)
+
+
+@pytest.mark.parametrize("kind", ["GF2", "GF3", "GF31", "Q", "Q-object", "Q-proth"])
+def test_moves_are_greedy_by_elimination_over_the_field(kind):
+    rng = random.Random(kind)
+    cases = list(_move_cases(kind))
+    if kind == "Q-object":
+        assert all(M._kernel.residues.dtype == object and M._kernel.p < _MR_EXACT_BELOW
+                   for E, F in cases for M in (E, F))
+    if kind == "Q-proth":
+        assert all(M._kernel.p > _MR_EXACT_BELOW for E, F in cases for M in (E, F))
+    for E, F in cases:
+        n = len(F.labels)
+        for M in (E, F):
+            weights = [rng.choice([0, 1, 2, rng.random()]) for _ in range(n)]  # with ties
+            order = sorted(range(n), key=lambda i: (weights[i], i))
+            assert greedy_min_basis(M, weights) == _reference_greedy(M, [M.labels[i] for i in order])
+        S = greedy_min_basis(E, [rng.random() for _ in range(n)])
+        T = basis_extend(E, F, S)
+        assert T == _reference_greedy(F, list(S) + [x for x in F.labels if x not in S])
+        T2 = greedy_min_basis(F, [rng.random() for _ in range(n)])
+        assert basis_restrict(E, F, T2) == _reference_greedy(E, T2)
+        for k in S:
+            assert basis_exchange(E, F, S, T, k) == min(
+                ell for ell in T
+                if _reference_is_basis(E, set(S) - {k} | {ell})
+                and _reference_is_basis(F, set(T) - {ell} | {k})
+            )
 
 
 def test_nested_greedy_containment():
