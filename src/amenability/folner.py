@@ -32,8 +32,11 @@ from .linalg import (
     FieldSpec,
     FormalCombination,
     LabeledSubspace,
+    _label_set,
     _rref,
+    _sorted_labels,
     _stacked,
+    _word,
     contains_subspace,
     subspace_from_rows,
     subspace_sum,
@@ -63,17 +66,16 @@ class FolnerReport:
 
 
 def _normalize_acting(S) -> list:
-    """Acting elements as (key, word) pairs; combinations contribute their support."""
+    """Acting elements as (key, word) pairs; combinations contribute their support.
+
+    S is one element or a list or tuple of them; an element is a
+    generator name, a word (a list or tuple of names) or a combination.
+    """
     out = []
     seen = set()
     items = S if isinstance(S, (list, tuple)) else [S]
     for s in items:
-        if isinstance(s, FormalCombination):
-            words = s.support
-        elif isinstance(s, str):
-            words = [(s,)]
-        else:
-            words = [tuple(s)]
+        words = s.support if isinstance(s, FormalCombination) else [_word(s)]
         for w in words:
             key = w[0] if len(w) == 1 else w
             if key not in seen:
@@ -103,7 +105,7 @@ def _translate_report(points: set, acting, translates, name: str) -> FolnerRepor
 
 def set_report(F: Iterable, S, action: GroupAction) -> FolnerReport:
     """Counting report for a finite set: (#(F u Fs) - #F) / #F per element."""
-    points = set(F)
+    points = _label_set(F)
     if not points:
         raise DegenerateInputError("the empty set has no boundary ratio")
     acting = _normalize_acting(S)
@@ -247,11 +249,7 @@ def set_to_subspace(F: Iterable, field: FieldSpec) -> LabeledSubspace:
     the dimension of the translated sum never exceeds the size of the
     translated union, and the subspace ratio is at most the set ratio.
     """
-    points = set(F)
-    try:
-        points = sorted(points)
-    except TypeError as exc:
-        raise ShapeError("labels must be mutually comparable") from exc
+    points = _sorted_labels(_label_set(F))
     if not points:
         raise DegenerateInputError("cannot span the empty set")
     return subspace_from_rows(np.eye(len(points), dtype=np.int64), points, field)

@@ -10,6 +10,7 @@ totally ordered so it can serve as a coordinate label.
 from __future__ import annotations
 
 import json
+import numbers
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, InvalidFieldError, ShapeError
-from .linalg import FieldSpec, _decode_label, subspace_from_rows
+from .linalg import FieldSpec, _decode_label, _require_int, _word, subspace_from_rows
 
 Point = Any
 
@@ -94,7 +95,7 @@ class GroupAction:
             if not points:
                 yield []
                 continue
-            word = (word,) if isinstance(word, str) else tuple(word)
+            word = _word(word)
             for i, g in enumerate(word):
                 if g not in known:
                     if i:
@@ -134,8 +135,9 @@ def integer_line() -> GroupAction:
 
 def integer_lattice(d: int) -> GroupAction:
     """Z^d acting on itself; generators +e1..-ed, points are d-tuples."""
-    if d < 1:
+    if isinstance(d, numbers.Real) and d < 1:
         raise ShapeError("lattice dimension must be positive")
+    _require_int(d, "lattice dimension")
     if d == 1:
         return integer_line()
     gens = []
@@ -211,8 +213,9 @@ def free_group(rank: int) -> GroupAction:
     k is +k, its inverse -k.  Generators are named a, b, c, ... with
     capitals for inverses.
     """
-    if not (1 <= rank <= 26):
+    if isinstance(rank, numbers.Real) and not (1 <= rank <= 26):
         raise ShapeError("free-group rank must be between 1 and 26")
+    _require_int(rank, "free-group rank")
     letters = "abcdefghijklmnopqrstuvwxyz"[:rank]
     gens = tuple(letters) + tuple(letters.upper())
     inverses = {}
@@ -337,9 +340,10 @@ def base_point(action: GroupAction) -> Point:
 
 def ball(action: GroupAction, base: Point, radius: int, cap: int = 100_000) -> tuple:
     """All points within word distance ``radius`` of ``base``, sorted."""
-    if radius < 0:
+    if isinstance(radius, numbers.Real) and radius < 0:
         raise ShapeError("radius must be nonnegative")
     action.check_point(base)
+    _require_int(radius, "radius")
     seen = {base}
     frontier = deque([base])
     for _ in range(radius):
@@ -385,12 +389,13 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
     "sum over every lamp pattern at head position t", dimension n.
     z-interval(n): {1..n} in Z; z-interval-span(n): its coordinate span.
     """
-    if n < 1:
+    if isinstance(n, numbers.Real) and n < 1:
         raise ShapeError("family parameter must be at least 1")
     if kind not in FAMILY_KINDS:
         raise DomainError(f"unknown family kind {kind!r}")
     if kind.endswith("span") and field is None:
         raise InvalidFieldError(f"{kind} needs a coefficient field")
+    _require_int(n, "family parameter")
 
     if kind == "z-interval":
         return tuple(range(1, n + 1))

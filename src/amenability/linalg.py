@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -319,10 +320,6 @@ class LabeledSubspace:
             return False
         return np.array_equal(self._array, other._array)
 
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __repr__(self) -> str:
         return (
             f"LabeledSubspace(field={self.field.characteristic}, "
@@ -363,6 +360,26 @@ class LabeledSubspace:
         return all(x == 0 for x in self.reduce_vector(vector))
 
 
+def _require_int(value, what: str) -> None:
+    """Refuse a count that is not an integer, or is a bool; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ShapeError(f"{what} must be an integer, got {value!r}")
+
+
+def _label_set(labels) -> set:
+    try:
+        return set(labels)
+    except TypeError as exc:
+        raise ShapeError(f"labels must be hashable: {exc}") from exc
+
+
+def _sorted_labels(labels, key=None) -> list:
+    try:
+        return sorted(labels, key=key)
+    except TypeError as exc:
+        raise ShapeError("labels must be mutually comparable") from exc
+
+
 def subspace_from_rows(rows, labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
     """Span of the given row vectors, canonicalized.
 
@@ -370,17 +387,10 @@ def subspace_from_rows(rows, labels: Sequence[Label], field: FieldSpec) -> Label
     the rows are row-reduced, and zero rows are dropped.
     """
     labels = list(labels)
-    try:
-        distinct = len(set(labels))
-    except TypeError as exc:
-        raise ShapeError(f"labels must be hashable: {exc}") from exc
-    if distinct != len(labels):
+    if len(_label_set(labels)) != len(labels):
         raise ShapeError("labels must be pairwise distinct")
     n = len(labels)
-    try:
-        order = sorted(range(n), key=labels.__getitem__)
-    except TypeError as exc:
-        raise ShapeError("labels must be mutually comparable") from exc
+    order = _sorted_labels(range(n), key=labels.__getitem__)
     sorted_labels = tuple(labels[j] for j in order)
     a = _to_array(rows, field, n)
     if a.shape[1] != n:
@@ -495,6 +505,15 @@ def contains_subspace(E: LabeledSubspace, F: LabeledSubspace) -> bool:
 # formal combinations and the right action on subspaces
 
 
+def _word(w) -> tuple:
+    """A group element as a word: a generator name, or a list or tuple of names."""
+    if isinstance(w, str):
+        return (w,)
+    if isinstance(w, (list, tuple)):
+        return tuple(w)
+    raise ShapeError(f"a group element is a generator name or a list or tuple of names, not {w!r}")
+
+
 @dataclass(frozen=True)
 class FormalCombination:
     """A finitely supported K-linear combination of group elements.
@@ -510,9 +529,7 @@ class FormalCombination:
         object.__setattr__(self, "field", field)
         cleaned = []
         for word, coeff in terms.items():
-            if isinstance(word, str):
-                word = (word,)
-            word = tuple(word)
+            word = _word(word)
             c = field.coerce(coeff)
             if c != 0:
                 cleaned.append((word, c))

@@ -12,6 +12,7 @@ the span of a set witness is at least as good as the set itself.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .folner import _normalize_acting, set_report, set_to_subspace, subspace_report
 from .groups import GroupAction, family_generate
-from .linalg import FieldSpec
+from .linalg import FieldSpec, _label_set, _require_int, _sorted_labels
 
 WINDOW_CAP = 24
 VMAX_CAP = 12
@@ -82,14 +83,15 @@ def iso_set_exact(
     (the true profile minimizes over all of X); witnesses are the
     lexicographically least among the tied optima.
     """
-    points = sorted(set(window))
+    points = _sorted_labels(_label_set(window))
     w = len(points)
     if w == 0:
         raise DegenerateInputError("the window must contain at least one point")
     if w > WINDOW_CAP:
         raise CapacityError(f"window has {w} points; the exhaustive cap is {WINDOW_CAP}")
-    if not (1 <= v_max <= VMAX_CAP):
+    if isinstance(v_max, numbers.Real) and not (1 <= v_max <= VMAX_CAP):
         raise CapacityError(f"v_max must be between 1 and {VMAX_CAP}")
+    _require_int(v_max, "v_max")
 
     acting = [word for _, word in _normalize_acting(S)]
     # Point i gets bit w-1-i, so among subsets of one size the largest
@@ -202,7 +204,7 @@ def compare_module_vs_set(
     F: Iterable, S, action: GroupAction, field: FieldSpec
 ) -> ModuleVsSet:
     """The span of a set witness does at least as well as the set itself."""
-    points = sorted(set(F))
+    points = _sorted_labels(_label_set(F))
     sr = set_report(points, S, action)
     sp = subspace_report(set_to_subspace(points, field), S, action)
     ok = sp.union_ratio <= sr.union_ratio
@@ -220,7 +222,7 @@ def naive_iso_set(action: GroupAction, window: Iterable, S, v_max: int) -> Profi
 
     Exists as an oracle for testing the subset-table search; capped harder.
     """
-    points = sorted(set(window))
+    points = _sorted_labels(_label_set(window))
     if len(points) > 16:
         raise CapacityError("the naive oracle is capped at 16 window points")
     acting = [word for _, word in _normalize_acting(S)]

@@ -29,7 +29,6 @@ map the chunks; results are identical for any value.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -45,7 +44,7 @@ from .errors import (
     InternalInvariantError,
     ShapeError,
 )
-from .linalg import align_pair, contains_subspace
+from .linalg import _require_int, align_pair, contains_subspace
 from .matroid import SubspaceMatroid
 
 CHUNK = 512  # samples per Philox stream; fixed, part of the algorithm
@@ -74,8 +73,7 @@ class DirectionSampler:
     dimension: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ShapeError(f"seed must be an integer, got {self.seed!r}")
+        _require_int(self.seed, "seed")
         if not (0 <= self.seed < _SEED_LIMIT):
             raise ShapeError("seed must fit in 64 bits")
         if self.dimension < 1:
@@ -203,13 +201,6 @@ def _distinct_rows(rows: np.ndarray):
     return keys.view(rows.dtype).reshape(-1, width), counts
 
 
-def _indicator(rows: np.ndarray, n: int) -> np.ndarray:
-    """One 0/1 row of length n per row of label indices."""
-    out = np.zeros((len(rows), n), dtype=bool)
-    out[np.arange(len(rows))[:, None], rows] = True
-    return out
-
-
 def _tally(matroids, N: int, seed: int, nested: bool = False):
     """Hits of each matroid's greedy basis over N shared directions.
 
@@ -222,7 +213,8 @@ def _tally(matroids, N: int, seed: int, nested: bool = False):
     hits = [Counter() for _ in matroids]
     per_label = [np.zeros(n, dtype=np.int64) for _ in matroids]
     for kept in _shared_kept([M._kernel for M in matroids], N, seed):
-        if nested and np.any(_indicator(kept[0], n) & ~_indicator(kept[1], n)):
+        # nested: each label of a sample's first basis occurs in its second
+        if nested and not (kept[0][:, :, None] == kept[1][:, None, :]).any(axis=2).all():
             raise InternalInvariantError("greedy bases of a nested pair were not nested")
         for counter, counts, rows in zip(hits, per_label, kept):
             keys, freq = _distinct_rows(rows)
@@ -236,8 +228,7 @@ def _tally(matroids, N: int, seed: int, nested: bool = False):
 
 
 def _check_sampling_args(M: SubspaceMatroid, N) -> None:
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise ShapeError(f"sample count must be an integer, got {N!r}")
+    _require_int(N, "sample count")
     if N < 1:
         raise ShapeError("sample count must be at least 1")
     if M.rank < 1:
@@ -325,9 +316,10 @@ def coupled_nested_estimate(
     if not contains_subspace(E.space, F.space):
         raise ContainmentError("coupled estimates need E <= F")
     Esp, Fsp = align_pair(E.space, F.space)
+    if Esp.labels != E.space.labels:
+        E = SubspaceMatroid(Esp)
     if Fsp.labels != F.space.labels:
         F = SubspaceMatroid(Fsp)
-    E = SubspaceMatroid(Esp)
     _check_sampling_args(F, samples)
     if E.rank < 1:
         raise DegenerateInputError("the zero subspace has no Steiner point")

@@ -9,7 +9,9 @@ import pytest
 from amenability import acceptance
 
 
-@pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "criterion", acceptance.ALL_CRITERIA.values(), ids=lambda f: f.__name__
+)
 def test_criterion(criterion):
     result = criterion()
     print(acceptance.format_result(result))
@@ -18,3 +20,25 @@ def test_criterion(criterion):
         f"criterion {result.number} took {result.seconds:.1f}s "
         f"(budget {result.budget:.0f}s)"
     )
+
+
+REGISTRY = [
+    (1, "lamplighter set family", 5.0),
+    (2, "lamplighter module family", 10.0),
+    (3, "divergent profiles", 30.0),
+    (4, "Steiner exactness", 60.0),
+    (5, "coupled nested estimates", 60.0),
+    (6, "basis extension, restriction, exchange", 10.0),
+    (7, "Minkowski combination additivity", 30.0),
+    (8, "subspace-to-function pipeline", 120.0),
+    (9, "exhaustive profile oracle", 120.0),
+    (10, "scheduling determinism", 60.0),
+]
+
+
+def test_the_registry_holds_the_ten_criteria_in_order():
+    # read off the registered functions; no body runs
+    registered = acceptance.ALL_CRITERIA
+    assert [(fn.number, fn.title, fn.budget) for fn in registered.values()] == REGISTRY
+    assert list(registered) == [k for k, _, _ in REGISTRY]
+    assert [fn.__name__ for fn in registered.values()] == [f"criterion_{k}" for k in registered]

@@ -25,6 +25,7 @@ from amenability import (
     gf,
     integer_lattice,
     integer_line,
+    iso_set_exact,
     lamplighter,
     layer_cake,
     quotient_dim,
@@ -553,3 +554,56 @@ def test_certificate_then_layer_cake_round_trip():
     for g in LAMP_GENS:
         _, best = lc.per_generator_best[g]
         assert best <= ratios[g]
+
+
+# ---------------------------------------------------------------------------
+# acting elements and points at the boundary
+
+_NOT_ACTING = {
+    "set": lambda: {"+1", "-1"},
+    "generator": lambda: (g for g in ["+1", "-1"]),
+    "int": lambda: 5,
+    "set-as-one-element": lambda: [{"+1", "-1"}],
+    "frozenset-combination-key": lambda: [FormalCombination(GF2, {frozenset({"+1"}): 1})],
+}
+
+
+@pytest.mark.parametrize("make", _NOT_ACTING.values(), ids=list(_NOT_ACTING))
+def test_acting_elements_are_names_lists_tuples_or_combinations(make):
+    # a set or a generator was read as the single word tuple(S): {"+1", "-1"}
+    # could become the identity word ("-1", "+1") and report a ratio of 0
+    interval = family_generate("z-interval", 4)
+    f = WeightedFunction.indicator(interval)
+    reports = [
+        lambda S: set_report(interval, S, Z),
+        lambda S: subspace_report(set_to_subspace(interval, GF2), S, Z),
+        lambda S: function_report(f, S, Z),
+        lambda S: layer_cake(f, S, Z),
+        lambda S: iso_set_exact(Z, interval, S, 2),
+    ]
+    for report in reports:
+        with pytest.raises(ShapeError, match="a group element is"):
+            report(make())
+
+
+def test_a_group_element_is_a_name_a_list_or_a_tuple():
+    span = set_to_subspace(family_generate("z-interval", 3), GF2)
+    for element in ({"+1"}, (g for g in ["+1"]), 5):
+        with pytest.raises(ShapeError, match="a group element is"):
+            Z.act_word(0, element)
+        with pytest.raises(ShapeError, match="a group element is"):
+            act_subspace(span, Z, element)
+    assert Z.act_word(0, ["+1", "+1"]) == Z.act_word(0, ("+1", "+1")) == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: set_report([[1], [2]], ["+1"], Z),
+        lambda: set_to_subspace([[1], [2]], GF2),
+    ],
+    ids=["set_report", "set_to_subspace"],
+)
+def test_unhashable_points_are_a_shape_error(call):
+    with pytest.raises(ShapeError, match="labels must be hashable"):
+        call()

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 
 from amenability import (
@@ -91,10 +92,12 @@ def test_lamp_points_are_validated(point, valid):
 def test_lattice_steps():
     Z2 = integer_lattice(2)
     assert Z2.act_word((0, 0), "+e2") == (0, 1)
+    assert integer_lattice(np.int64(2)).act_word((0, 0), "+e2") == (0, 1)
     assert Z2.act_word((4, -1), ("-e1", "-e1")) == (2, -1)
 
 
 def test_free_group_reduction():
+    assert free_group(np.int8(2)).generators == F2.generators
     assert F2.act_word((), "a") == (1,)
     assert F2.act_word((1,), "A") == ()
     assert F2.act_word((1,), "b") == (1, 2)
@@ -284,6 +287,7 @@ def test_lamp_inverse_is_a_group_inverse():
 
 def test_line_ball_sizes():
     assert len(ball(Z, 0, 3)) == 7
+    assert ball(Z, 0, np.int64(1)) == (-1, 0, 1)
     assert ball(Z, 2, 0) == (2,)
 
 
@@ -300,6 +304,10 @@ def test_ball_cap():
 def test_negative_radius():
     with pytest.raises(ShapeError):
         ball(Z, 0, -1)
+    with pytest.raises(ShapeError, match="radius must be nonnegative"):
+        ball(Z, 0, -1.5)
+    with pytest.raises(DomainError):
+        ball(Z, "x", 1.5)  # the base point is checked before the radius's type
 
 
 def test_lamp_box_is_closed_under_the_lamp_generator():
@@ -314,6 +322,7 @@ def test_lamp_box_is_closed_under_the_lamp_generator():
 
 def test_lamp_box_counts():
     assert len(family_generate("lamp-box", 2)) == 8
+    assert len(family_generate("lamp-box", np.int32(2))) == 8
     for n in (1, 3, 5):
         assert len(family_generate("lamp-box", n)) == (1 << n) * n
 
@@ -325,6 +334,7 @@ def test_lamp_span_dimension():
 
 def test_z_families():
     assert family_generate("z-interval", 5) == (1, 2, 3, 4, 5)
+    assert family_generate("z-interval", np.int64(3)) == (1, 2, 3)
     sp = family_generate("z-interval-span", 4, GF2)
     assert sp.dim == 4
     assert sp.labels == (1, 2, 3, 4)
@@ -339,6 +349,32 @@ def test_family_capacity_and_validation():
         family_generate("lamp-box", 0)
     with pytest.raises(InvalidFieldError):
         family_generate("lamp-span", 3)  # needs a field
+    # a parameter that is no integer does not hide these
+    with pytest.raises(ShapeError, match="at least 1"):
+        family_generate("lamp-box", 0.5)
+    with pytest.raises(DomainError):
+        family_generate("no-such-family", 2.5)
+    with pytest.raises(InvalidFieldError):
+        family_generate("lamp-span", 2.5)
+
+
+_NOT_COUNTS = {
+    "lamp-box-2.5": lambda: family_generate("lamp-box", 2.5),
+    "z-interval-str": lambda: family_generate("z-interval", "3"),
+    "z-interval-bool": lambda: family_generate("z-interval", True),
+    "z-interval-span-2.0": lambda: family_generate("z-interval-span", 2.0, GF2),
+    "ball-radius-1.5": lambda: ball(Z, 0, 1.5),
+    "ball-radius-str": lambda: ball(Z, 0, "1"),
+    "lattice-2.0": lambda: integer_lattice(2.0),
+    "lattice-bool": lambda: integer_lattice(True),
+    "free-rank-2.5": lambda: free_group(2.5),
+}
+
+
+@pytest.mark.parametrize("call", _NOT_COUNTS.values(), ids=list(_NOT_COUNTS))
+def test_counts_must_be_integers(call):
+    with pytest.raises(ShapeError, match="must be an integer"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,13 @@ def test_canonical_equality_is_structural():
     G = subspace_from_rows([(0, 1), (1, 0)], ["a", "b"], RATIONALS)
     assert F == G
     assert not F != G
+    # != is the negation of ==, down to the NotImplemented fallback
+    H = subspace_from_rows([(1, 1), (1, 0)], ["a", "c"], RATIONALS)
+    K = subspace_from_rows([(1, 1), (1, 0)], ["a", "b"], GF2)
+    assert F != H and not F == H
+    assert F != K and not F == K
+    assert F != "F" and "F" != F and not F == "F"
+    assert F.__ne__("F") is NotImplemented
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from amenability import (
@@ -54,6 +55,7 @@ def test_line_window_profile():
         assert row.ratio == Fraction(2, row.v)
         lo, hi = min(row.witness), max(row.witness)
         assert row.witness == tuple(range(lo, hi + 1))
+    assert iso_set_exact(Z, window, ["+1", "-1"], np.int64(10)) == table
 
 
 def test_line_window_matches_naive_oracle():
@@ -181,6 +183,27 @@ def test_window_caps_are_hard():
         iso_set_exact(Z, range(30), ["+1"], 5)
     with pytest.raises(CapacityError):
         iso_set_exact(Z, range(10), ["+1"], 13)
+    for v_max in (0, 0.5, 13.5):
+        with pytest.raises(CapacityError):
+            iso_set_exact(Z, range(10), ["+1"], v_max)
+
+
+_BAD_WINDOW_CALLS = {
+    "v_max-2.5": (lambda: iso_set_exact(Z, range(5), ["+1"], 2.5), "v_max must be an integer"),
+    "v_max-str": (lambda: iso_set_exact(Z, range(5), ["+1"], "3"), "v_max must be an integer"),
+    "v_max-bool": (lambda: iso_set_exact(Z, range(5), ["+1"], True), "v_max must be an integer"),
+    "unhashable-points": (lambda: iso_set_exact(Z, [[1], [2]], ["+1"], 2), "labels must be hashable"),
+    "incomparable-window": (
+        lambda: iso_set_exact(Z, [1, "a"], ["+1"], 2),
+        "labels must be mutually comparable",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", _BAD_WINDOW_CALLS.values(), ids=list(_BAD_WINDOW_CALLS))
+def test_bad_windows_and_sizes_are_shape_errors(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
