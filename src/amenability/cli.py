@@ -45,19 +45,11 @@ def _load_subspace_file(path):
         return subspace_from_json(json.load(fh))
 
 
-def _encode_key(key) -> str:
-    if isinstance(key, tuple):
-        return " ".join(map(str, key))
-    return str(key)
-
-
 def _report_doc(report) -> dict:
     return {
         "subject": report.subject,
         "size": report.size,
-        "per_generator": {
-            _encode_key(k): RATIONALS.format_scalar(v) for k, v in report.per_generator.items()
-        },
+        "per_generator": {k: RATIONALS.format_scalar(v) for k, v in report.per_generator.items()},
         "union_ratio": RATIONALS.format_scalar(report.union_ratio),
         "union_size": report.union_size,
         "epsilon": RATIONALS.format_scalar(report.epsilon),
@@ -119,11 +111,10 @@ def _cmd_folner(args) -> int:
         if args.samples:
             witness = subspace_to_function(obj, gens, action, args.samples, args.seed)
             doc["certificates"] = {
-                _encode_key(k): RATIONALS.format_scalar(v) for k, v in witness.certificates.items()
+                k: RATIONALS.format_scalar(v) for k, v in witness.certificates.items()
             }
             doc["sampled_ratios"] = {
-                _encode_key(k): RATIONALS.format_scalar(v)
-                for k, v in witness.sampled_ratios.items()
+                k: RATIONALS.format_scalar(v) for k, v in witness.sampled_ratios.items()
             }
             doc["tolerance"] = witness.tolerance
             doc["samples"] = args.samples

@@ -122,7 +122,10 @@ class WeightedFunction:
     def __init__(self, values: Mapping[Any, Fraction]):
         cleaned = {}
         for x, v in values.items():
-            v = Fraction(v)
+            try:
+                v = Fraction(v)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ShapeError(f"value {v!r} at {x!r} is not a rational") from exc
             if v < 0:
                 raise ShapeError(f"negative value {v} at {x!r}")
             if v:

@@ -56,16 +56,31 @@ def lamp_inverse(a) -> LampElement:
 class GroupAction:
     """A finitely generated group acting on the right on a point set.
 
-    ``base`` is the identity-like origin of a built-in action, and None
-    for an action without one.
+    ``moves`` maps each generator name to its move x -> x.g; its keys, in
+    order, are the generators.  ``inverses`` names each generator's
+    inverse.  ``base`` is the identity-like origin of a built-in action,
+    and None for an action without one.
     """
 
     name: str
-    generators: tuple
+    moves: Mapping[str, Callable[[Point], Point]] = field(repr=False)
     inverses: Mapping[str, str]
-    apply: Callable[[Point, str], Point] = field(repr=False)
     validate: Callable[[Point], bool] = field(repr=False, default=None)
     base: Point = None
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(self.moves)
+
+    def apply(self, point: Point, g: str) -> Point:
+        """The image of ``point`` under the generator ``g``; the point is not checked."""
+        return self._move(g)(point)
+
+    def _move(self, g) -> Callable[[Point], Point]:
+        try:
+            return self.moves[g]
+        except (KeyError, TypeError):  # an unhashable letter names no generator either
+            raise DomainError(f"unknown generator {g!r} in a word") from None
 
     def check_point(self, point: Point) -> Point:
         if self.validate is not None and not self.validate(point):
@@ -86,31 +101,28 @@ class GroupAction:
         not outlive the next.  The errors are those that ``act_word``
         point by point, word by word, would raise first: the first
         generator of a word before the first point, that point before
-        the rest of the word.  An empty word checks nothing.
+        the rest of the word.  An empty word checks nothing, and a word
+        with an unhashable letter is refused before any point.
         """
         points = list(points)
-        known, check, apply = self.inverses, self.check_point, self.apply
         checked = False
         for word in words:
             if not points:
                 yield []
                 continue
-            word = _word(word)
-            for i, g in enumerate(word):
-                if g not in known:
-                    if i:
-                        check(points[0])
-                    raise DomainError(f"unknown generator {g!r} in a word")
-            unchecked = bool(word) and not checked
-            images = []
-            for x in points:
-                if unchecked:
-                    check(x)
-                for g in word:
-                    x = apply(x, g)
-                images.append(x)
-            checked = checked or unchecked
-            yield images
+            moves = []
+            for g in _word(word):
+                if moves and g not in self.moves:
+                    self.check_point(points[0])
+                moves.append(self._move(g))
+            if moves and not checked:
+                for x in points:
+                    self.check_point(x)
+                checked = True
+            images = points
+            for move in moves:
+                images = list(map(move, images))
+            yield images if moves else list(points)
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +131,10 @@ class GroupAction:
 
 def integer_line() -> GroupAction:
     """Z acting on itself by translation; generators +1 and -1."""
-
-    def apply(x, g):
-        return x + 1 if g == "+1" else x - 1
-
     return GroupAction(
         name="Z",
-        generators=("+1", "-1"),
+        moves={"+1": lambda x: x + 1, "-1": lambda x: x - 1},
         inverses={"+1": "-1", "-1": "+1"},
-        apply=apply,
         validate=lambda x: isinstance(x, int),
         base=0,
     )
@@ -140,25 +147,20 @@ def integer_lattice(d: int) -> GroupAction:
     _require_int(d, "lattice dimension")
     if d == 1:
         return integer_line()
-    gens = []
-    inverses = {}
-    for k in range(1, d + 1):
-        gens += [f"+e{k}", f"-e{k}"]
-        inverses[f"+e{k}"] = f"-e{k}"
-        inverses[f"-e{k}"] = f"+e{k}"
 
-    def apply(x, g):
-        k = int(g[2:]) - 1
-        step = 1 if g[0] == "+" else -1
-        return x[:k] + (x[k] + step,) + x[k + 1 :]
+    def step(k, s):
+        return lambda x: x[:k] + (x[k] + s,) + x[k + 1 :]
+
+    moves, inverses = {}, {}
+    for k in range(d):
+        plus, minus = f"+e{k + 1}", f"-e{k + 1}"
+        moves[plus], moves[minus] = step(k, 1), step(k, -1)
+        inverses[plus], inverses[minus] = minus, plus
 
     def valid(x):
         return isinstance(x, tuple) and len(x) == d and all(isinstance(v, int) for v in x)
 
-    return GroupAction(
-        name=f"Z^{d}", generators=tuple(gens), inverses=inverses, apply=apply, validate=valid,
-        base=(0,) * d,
-    )
+    return GroupAction(name=f"Z^{d}", moves=moves, inverses=inverses, validate=valid, base=(0,) * d)
 
 
 def _lamp_valid(x) -> bool:
@@ -176,6 +178,14 @@ def _lamp_valid(x) -> bool:
     return True
 
 
+def _lamp_toggle(x) -> LampElement:
+    lamps, pos = x
+    i = bisect_left(lamps, pos)
+    if i < len(lamps) and lamps[i] == pos:
+        return LampElement(lamps[:i] + lamps[i + 1 :], pos)
+    return LampElement(lamps[:i] + (pos,) + lamps[i:], pos)
+
+
 def lamplighter() -> GroupAction:
     """The lamplighter group (Z/2 wr Z) acting on itself.
 
@@ -183,24 +193,14 @@ def lamplighter() -> GroupAction:
     head.  Right multiplication by b toggles position pos, because the
     incoming lamp at 0 is shifted by the head position first.
     """
-
-    def apply(x, g):
-        lamps, pos = tuple(x[0]), x[1]
-        if g == "b":
-            lit = list(lamps)
-            i = bisect_left(lit, pos)
-            if i < len(lit) and lit[i] == pos:
-                del lit[i]
-            else:
-                lit.insert(i, pos)
-            return LampElement(tuple(lit), pos)
-        return LampElement(lamps, pos + (1 if g == "+1" else -1))
-
     return GroupAction(
         name="lamplighter",
-        generators=("+1", "-1", "b"),
+        moves={
+            "+1": lambda x: LampElement(x[0], x[1] + 1),
+            "-1": lambda x: LampElement(x[0], x[1] - 1),
+            "b": _lamp_toggle,
+        },
         inverses={"+1": "-1", "-1": "+1", "b": "b"},
-        apply=apply,
         validate=_lamp_valid,
         base=LAMP_IDENTITY,
     )
@@ -217,32 +217,22 @@ def free_group(rank: int) -> GroupAction:
         raise ShapeError("free-group rank must be between 1 and 26")
     _require_int(rank, "free-group rank")
     letters = "abcdefghijklmnopqrstuvwxyz"[:rank]
-    gens = tuple(letters) + tuple(letters.upper())
-    inverses = {}
-    code = {}
-    for i, ch in enumerate(letters, start=1):
-        inverses[ch] = ch.upper()
-        inverses[ch.upper()] = ch
-        code[ch] = i
-        code[ch.upper()] = -i
+    names = letters + letters.upper()
 
-    def apply(x, g):
-        v = code[g]
-        if x and x[-1] == -v:
-            return x[:-1]
-        return x + (v,)
+    def step(v):
+        cancel = -v
+        return lambda x: x[:-1] if x and x[-1] == cancel else x + (v,)
 
-    def valid(x):
-        if not isinstance(x, tuple):
-            return False
-        for a, b in zip(x, x[1:]):
-            if a == -b:
-                return False
-        return all(isinstance(v, int) and 0 < abs(v) <= rank for v in x)
+    codes = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
+    moves = {g: step(v) for g, v in zip(names, codes)}
+
+    def valid(x):  # letters first: only ints may be negated
+        in_range = isinstance(x, tuple) and all(isinstance(v, int) and 0 < abs(v) <= rank for v in x)
+        return in_range and all(a != -b for a, b in zip(x, x[1:]))
 
     return GroupAction(
-        name=f"free:{rank}", generators=gens, inverses=inverses, apply=apply, validate=valid,
-        base=(),
+        name=f"free:{rank}", moves=moves, inverses=dict(zip(names, names.swapcase())),
+        validate=valid, base=(),
     )
 
 
@@ -253,6 +243,8 @@ def finite_action(name: str, points: Sequence, perms: Mapping[str, Sequence]) ->
     not, become tuples.  The points must be hashable, distinct and
     mutually comparable, so that they can serve as coordinate labels.
     """
+    if not isinstance(perms, Mapping):
+        raise ShapeError("generators must map names to permutations")
     points = [_decode_label(p) for p in points]
     try:
         universe = set(points)
@@ -265,6 +257,8 @@ def finite_action(name: str, points: Sequence, perms: Mapping[str, Sequence]) ->
     except TypeError as exc:
         raise ShapeError("points must be mutually comparable") from exc
     for g in perms:
+        if not isinstance(g, str):
+            raise ShapeError(f"generator names must be strings, not {g!r}")
         if g + "^-1" in perms:
             raise ShapeError(f"generator {g + '^-1'!r} collides with the inverse derived from {g!r}")
     tables = {}
@@ -277,13 +271,10 @@ def finite_action(name: str, points: Sequence, perms: Mapping[str, Sequence]) ->
             permutes = False
         if not permutes:
             raise ShapeError(f"generator {g!r} is not a permutation of the points")
-        tables[g] = {p: q for p, q in zip(points, images)}
-        tables[g + "^-1"] = {q: p for p, q in zip(points, images)}
+        tables[g] = dict(zip(points, images))
+        tables[g + "^-1"] = dict(zip(images, points))
         inverses[g] = g + "^-1"
         inverses[g + "^-1"] = g
-
-    def apply(x, g):
-        return tables[g][x]
 
     def valid(x):
         try:
@@ -293,9 +284,8 @@ def finite_action(name: str, points: Sequence, perms: Mapping[str, Sequence]) ->
 
     return GroupAction(
         name=name,
-        generators=tuple(sorted(tables)),
+        moves={g: tables[g].__getitem__ for g in sorted(tables)},
         inverses=inverses,
-        apply=apply,
         validate=valid,
     )
 
@@ -305,6 +295,8 @@ def permutation_action_from_json(source) -> GroupAction:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             source = json.load(fh)
+    if not isinstance(source, Mapping):
+        raise ShapeError("a permutation action document must be a JSON object")
     try:
         return finite_action(
             source.get("name", "finite"), source["points"], source["generators"]
@@ -344,13 +336,14 @@ def ball(action: GroupAction, base: Point, radius: int, cap: int = 100_000) -> t
         raise ShapeError("radius must be nonnegative")
     action.check_point(base)
     _require_int(radius, "radius")
+    _require_int(cap, "cap")
     seen = {base}
     frontier = deque([base])
     for _ in range(radius):
         next_frontier = deque()
         for x in frontier:
-            for g in action.generators:
-                y = action.apply(x, g)
+            for move in action.moves.values():
+                y = move(x)
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > cap:

@@ -510,6 +510,11 @@ def _word(w) -> tuple:
     if isinstance(w, str):
         return (w,)
     if isinstance(w, (list, tuple)):
+        for g in w:
+            try:
+                hash(g)
+            except TypeError:  # an unhashable letter names no generator of any action
+                raise DomainError(f"unknown generator {g!r} in a word") from None
         return tuple(w)
     raise ShapeError(f"a group element is a generator name or a list or tuple of names, not {w!r}")
 

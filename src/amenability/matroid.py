@@ -38,6 +38,7 @@ from .errors import (
 from .linalg import (
     LabeledSubspace,
     _prime_above,
+    _require_int,
     _rref,
     _to_array,
     contains_subspace,
@@ -253,8 +254,9 @@ def greedy_min_basis(M: SubspaceMatroid, weights: Iterable) -> Basis:
 
 def enumerate_bases(M: SubspaceMatroid, cap: int = 100_000) -> list:
     """All bases, in lexicographic label order; errors out beyond ``cap``."""
-    if cap <= 0:
+    if isinstance(cap, numbers.Real) and cap <= 0:
         raise ShapeError("cap must be positive")
+    _require_int(cap, "cap")
     d = M.rank
     out = []
     combos = combinations(range(len(M.labels)), d)

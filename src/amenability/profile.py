@@ -184,8 +184,9 @@ def phi_from_table(table: ProfileTable, n: int):
     """
     if not table.rows:
         raise ShapeError("cannot invert an empty profile table")
-    if n < 1:
+    if isinstance(n, numbers.Real) and n < 1:
         raise ShapeError("the profile argument must be at least 1")
+    _require_int(n, "the profile argument")
     target = Fraction(1, n)
     for row in sorted(table.rows, key=lambda r: r.v):
         if row.ratio <= target:
@@ -226,6 +227,7 @@ def naive_iso_set(action: GroupAction, window: Iterable, S, v_max: int) -> Profi
     if len(points) > 16:
         raise CapacityError("the naive oracle is capped at 16 window points")
     acting = [word for _, word in _normalize_acting(S)]
+    _require_int(v_max, "v_max")
     best_by_size = {}
     for k in range(1, min(v_max, len(points)) + 1):
         for combo in combinations(points, k):

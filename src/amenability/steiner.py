@@ -29,6 +29,7 @@ map the chunks; results are identical for any value.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -76,8 +77,9 @@ class DirectionSampler:
         _require_int(self.seed, "seed")
         if not (0 <= self.seed < _SEED_LIMIT):
             raise ShapeError("seed must fit in 64 bits")
-        if self.dimension < 1:
+        if isinstance(self.dimension, numbers.Real) and self.dimension < 1:
             raise ShapeError("dimension must be at least 1")
+        _require_int(self.dimension, "dimension")
 
     def chunk(self, c: int) -> np.ndarray:
         key = np.array([self.seed, c], dtype=np.uint64)

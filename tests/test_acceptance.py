@@ -6,7 +6,7 @@ The criterion bodies live in ``amenability.acceptance`` so that the
 
 import pytest
 
-from amenability import acceptance
+from amenability import ShapeError, acceptance
 
 
 @pytest.mark.parametrize(
@@ -34,6 +34,30 @@ REGISTRY = [
     (9, "exhaustive profile oracle", 120.0),
     (10, "scheduling determinism", 60.0),
 ]
+
+
+def test_a_failing_or_slow_criterion_is_a_failed_result(monkeypatch):
+    # throwaway criteria registered into a copy of the registry, which is restored afterwards
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", dict(acceptance.ALL_CRITERIA))
+
+    @acceptance.criterion("an assertion fails", 5.0)
+    def criterion_97():
+        raise AssertionError  # no message: the detail is the exception's name
+
+    @acceptance.criterion("a library error", 5.0)
+    def criterion_98():
+        raise ShapeError("refused")
+
+    @acceptance.criterion("too slow", 0.0)
+    def criterion_99():
+        return "done"
+
+    assert list(acceptance.ALL_CRITERIA)[-3:] == [97, 98, 99]
+    results = [criterion_97(), criterion_98(), criterion_99()]
+    assert [(r.number, r.passed) for r in results] == [(97, False), (98, False), (99, False)]
+    assert results[0].detail == "AssertionError"
+    assert results[1].detail == "refused"
+    assert results[2].detail.startswith("done; exceeded the 0s budget (")
 
 
 def test_the_registry_holds_the_ten_criteria_in_order():

@@ -225,6 +225,21 @@ def test_folner_on_finite_action_points_gives_structured_error(tmp_path, points,
     assert json.loads(out)["error"] == error
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "a permutation action document must be a JSON object"),
+        ({"points": [0, 1], "generators": [[1, 0]]}, "generators must map names to permutations"),
+    ],
+)
+def test_folner_on_a_malformed_permutation_document_gives_structured_error(tmp_path, doc, message, capsys):
+    path = tmp_path / "perm.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "folner", "--group", f"perm:{path}", "--family", "z-interval", "--n", "3")
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ShapeError", "message": message}
+
+
 @pytest.mark.parametrize("spec", ["Z^x", "free:x", "free:"])
 def test_folner_on_a_malformed_group_spec_gives_structured_error(spec, capsys):
     code, out = run_cli(capsys, "folner", "--group", spec, "--family", "z-interval", "--n", "3")

@@ -134,6 +134,9 @@ def test_zero_function_is_rejected():
 def test_negative_values_are_rejected():
     with pytest.raises(ShapeError):
         WeightedFunction({1: -1})
+    for value in (float("nan"), float("inf"), "x", None):  # and values that are no rationals
+        with pytest.raises(ShapeError, match="is not a rational"):
+            WeightedFunction({1: value})
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +388,7 @@ def test_report_matches_canonical_translates(F, S, action, keys):
 @pytest.mark.parametrize("target", [0, 1])
 def test_a_non_injective_element_is_a_domain_error(target):
     # "c" maps both labels onto one point, outside F or inside it
-    collapse = GroupAction(name="collapse", generators=("c",), inverses={"c": "c"}, apply=lambda x, g: target)
+    collapse = GroupAction(name="collapse", moves={"c": lambda x: target}, inverses={"c": "c"})
     F = set_to_subspace([1, 2], GF2)
     with pytest.raises(DomainError, match="did not act injectively"):
         act_subspace(F, collapse, "c")
@@ -584,6 +587,23 @@ def test_acting_elements_are_names_lists_tuples_or_combinations(make):
     for report in reports:
         with pytest.raises(ShapeError, match="a group element is"):
             report(make())
+
+
+def test_an_unhashable_letter_is_an_unknown_generator():
+    interval = family_generate("z-interval", 4)
+    f = WeightedFunction.indicator(interval)
+    reports = [
+        lambda S: set_report(interval, S, Z),
+        lambda S: subspace_report(set_to_subspace(interval, GF2), S, Z),
+        lambda S: function_report(f, S, Z),
+        lambda S: layer_cake(f, S, Z),
+        lambda S: iso_set_exact(Z, interval, S, 2),
+    ]
+    for report in reports:
+        with pytest.raises(DomainError, match=r"unknown generator \['x'\] in a word"):
+            report([["+1", ["x"]]])
+    with pytest.raises(DomainError, match=r"unknown generator \{'\+1'\} in a word"):
+        set_report([1, 2], [[{"+1"}]], Z)
 
 
 def test_a_group_element_is_a_name_a_list_or_a_tuple():

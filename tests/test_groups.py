@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,8 @@ def random_point(action, rng):
     if action.name == "lamplighter":
         support = tuple(sorted(rng.sample(range(-6, 7), rng.randrange(0, 5))))
         return LampElement(support, rng.randrange(-6, 7))
+    if action.name == "hexagon":
+        return rng.choice(HEXAGON_POINTS)
     if action.name.startswith("free:"):
         word = ()
         for _ in range(rng.randrange(0, 6)):
@@ -133,7 +136,9 @@ HEXAGON = finite_action(
 )
 
 
-@pytest.mark.parametrize("factory", [integer_line, lambda: integer_lattice(3), lamplighter, lambda: free_group(2)])
+@pytest.mark.parametrize(
+    "factory", [integer_line, lambda: integer_lattice(3), lamplighter, lambda: free_group(2), lambda: HEXAGON]
+)
 def test_generator_inverse_round_trip(factory):
     action = factory()
     rng = random.Random(101)
@@ -142,6 +147,37 @@ def test_generator_inverse_round_trip(factory):
         g = rng.choice(action.generators)
         y = action.act_word(x, g)
         assert action.act_word(y, action.inverses[g]) == x
+
+
+@pytest.mark.parametrize(
+    "action, generators",
+    [
+        (Z, ("+1", "-1")),
+        (integer_lattice(3), ("+e1", "-e1", "+e2", "-e2", "+e3", "-e3")),
+        (L, ("+1", "-1", "b")),
+        (free_group(3), ("a", "b", "c", "A", "B", "C")),
+        (HEXAGON, ("r", "r^-1", "s", "s^-1")),
+    ],
+    ids=["Z", "Z^3", "lamplighter", "free:3", "finite"],
+)
+def test_an_action_is_one_move_per_generator(action, generators):
+    assert action.generators == tuple(action.moves) == generators
+    assert set(action.inverses) == set(action.moves)
+    for g in action.moves:
+        assert action.inverses[action.inverses[g]] == g
+    x = HEXAGON_POINTS[0] if action is HEXAGON else base_point(action)
+    assert [action.apply(x, g) for g in generators] == [action.act_word(x, g) for g in generators]
+    for bad in ("zz", 5, ["+1"]):  # no name falls through to some other move
+        with pytest.raises(DomainError, match=re.escape(f"unknown generator {bad!r} in a word")):
+            action.apply(x, bad)
+
+
+def test_a_lattice_of_dimension_one_is_the_line():
+    line = integer_lattice(1)
+    assert (line.name, line.generators, line.base) == ("Z", ("+1", "-1"), 0)
+    assert line.act_word(3, ("+1", "+1")) == 5
+    with pytest.raises(ShapeError, match="lattice dimension must be positive"):
+        integer_lattice(0)
 
 
 @pytest.mark.parametrize(
@@ -174,6 +210,7 @@ def test_words_take_valid_points_to_valid_points(action):
         (F2, (1, -1)),
         (F2, (3,)),
         (HEXAGON, (0, 6)),
+        (F2, ("a", "b")),  # letters that are not ints
     ],
 )
 def test_invalid_start_points_still_raise(action, bad):
@@ -188,6 +225,11 @@ def test_unknown_generators_still_raise_anywhere_in_a_word():
         Z.act_word(0, ("+1", "+1", "nope"))
     with pytest.raises(DomainError, match="unknown generator"):
         L.act_word("not a point", ("nope", "b"))  # the word is read left to right
+    for word in ([{"+1"}], ("+1", ["x"]), [["+1"]]):  # an unhashable letter names no generator
+        with pytest.raises(DomainError, match="unknown generator"):
+            Z.act_word(0, word)
+        with pytest.raises(DomainError, match="unknown generator"):
+            list(L.act_points([LAMP_IDENTITY], [word]))
 
 
 def _first_outcome(fn):
@@ -365,6 +407,8 @@ _NOT_COUNTS = {
     "z-interval-span-2.0": lambda: family_generate("z-interval-span", 2.0, GF2),
     "ball-radius-1.5": lambda: ball(Z, 0, 1.5),
     "ball-radius-str": lambda: ball(Z, 0, "1"),
+    "ball-cap-str": lambda: ball(Z, 0, 2, cap="x"),
+    "ball-cap-2.5": lambda: ball(Z, 0, 2, cap=2.5),
     "lattice-2.0": lambda: integer_lattice(2.0),
     "lattice-bool": lambda: integer_lattice(True),
     "free-rank-2.5": lambda: free_group(2.5),
@@ -428,6 +472,21 @@ def test_finite_action_rejects_a_generator_named_like_a_derived_inverse():
         permutation_action_from_json(doc)
     action = permutation_action_from_json({"points": [0, 1, 2], "generators": {"g^-1": [1, 2, 0]}})
     assert action.inverses == {"g^-1": "g^-1^-1", "g^-1^-1": "g^-1"}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: finite_action("f", [0, 1], {5: [1, 0]}), "generator names must be strings, not 5"),
+        (lambda: finite_action("f", [0, 1], [[1, 0]]), "generators must map names to permutations"),
+        (lambda: permutation_action_from_json([1, 2]), "a permutation action document must be a JSON object"),
+        (lambda: permutation_action_from_json({"points": [0, 1], "generators": [[1, 0]]}),
+         "generators must map names to permutations"),
+    ],
+)
+def test_malformed_permutation_documents_are_shape_errors(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call()
 
 
 def test_an_unhashable_point_is_not_a_point_of_a_finite_action():

@@ -199,6 +199,11 @@ def test_enumeration_cap():
     M = make([(1, 0, 1), (0, 1, 1)], [1, 2, 3])
     with pytest.raises(CapacityError):
         enumerate_bases(M, cap=2)
+    for cap in ("x", 2.5, True):  # a cap is an integer count
+        with pytest.raises(ShapeError, match="cap must be an integer"):
+            enumerate_bases(M, cap=cap)
+    with pytest.raises(ShapeError, match="cap must be positive"):
+        enumerate_bases(M, cap=-0.5)
 
 
 def test_enumeration_over_many_blocks_agrees_with_a_rank_oracle():

@@ -255,6 +255,20 @@ def test_phi_interval_family():
     assert phi_from_table(table, 5) == 10
 
 
+def test_counts_of_the_profile_functions_must_be_integers():
+    table = iso_family_upper("z-interval", range(1, 5), ["+1", "-1"], Z)
+    for n in (2.5, "3", True):
+        with pytest.raises(ShapeError, match="the profile argument must be an integer"):
+            phi_from_table(table, n)
+    with pytest.raises(ShapeError, match="at least 1"):
+        phi_from_table(table, 0.5)
+    for v_max in (2.5, "3"):
+        with pytest.raises(ShapeError, match="v_max must be an integer"):
+            naive_iso_set(Z, range(4), ["+1"], v_max)
+    with pytest.raises(CapacityError):  # refused as before, ahead of the count
+        naive_iso_set(Z, range(17), ["+1"], 2.5)
+
+
 def test_phi_lamp_span_is_linear(span_table):
     for n in range(1, 7):
         assert phi_from_table(span_table, n) == 2 * n

@@ -13,6 +13,7 @@ from amenability import (
     DirectionSampler,
     ShapeError,
     SubspaceMatroid,
+    align_pair,
     coupled_nested_estimate,
     enumerate_bases,
     estimate_steiner,
@@ -59,6 +60,15 @@ def test_sampler_rejects_bad_seeds():
         DirectionSampler(seed=-1, dimension=3)
     with pytest.raises(ShapeError):
         DirectionSampler(seed=2**64, dimension=3)
+
+
+def test_sampler_rejects_a_dimension_that_is_not_a_count():
+    for dimension in (2.5, "3", True):
+        with pytest.raises(ShapeError, match="dimension must be an integer"):
+            DirectionSampler(seed=1, dimension=dimension)
+    with pytest.raises(ShapeError, match="dimension must be at least 1"):
+        DirectionSampler(seed=1, dimension=0.5)
+    assert DirectionSampler(seed=1, dimension=np.int64(2)).chunk(0).shape[1] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +251,16 @@ def test_coupled_worked_pair():
     assert all(a <= b for a, b in zip(c.low.vector, c.high.vector))
     gap = sum((b - a for a, b in zip(c.low.vector, c.high.vector)), Fraction(0))
     assert gap == 1
+
+
+def test_coupled_rewrites_a_pair_given_over_different_labels():
+    # E over fewer labels than F, and E with a zero column that F lacks
+    F = make([(1, 0, 1), (0, 1, 1)], [1, 2, 3])
+    for E in (make([(1, 1)], [1, 3]), make([(1, 0, 1, 0)], [1, 2, 3, 4])):
+        Esp, Fsp = align_pair(E.space, F.space)
+        padded = coupled_nested_estimate(SubspaceMatroid(Esp), SubspaceMatroid(Fsp), samples=500, seed=9)
+        assert coupled_nested_estimate(E, F, samples=500, seed=9) == padded
+        assert padded.low.labels == Fsp.labels and padded.l1_gap == 1
 
 
 def test_coupled_requires_containment():
