@@ -14,6 +14,7 @@ import numbers
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -36,6 +37,10 @@ class LampElement(NamedTuple):
 
 
 LAMP_IDENTITY = LampElement((), 0)
+
+# ``_new(LampElement, (lamps, pos))`` builds an element without the
+# Python-level ``LampElement.__new__`` frame; the moves and the box use it.
+_new = tuple.__new__
 
 
 def lamp_multiply(a, b) -> LampElement:
@@ -105,7 +110,7 @@ class GroupAction:
         with an unhashable letter is refused before any point.
         """
         points = list(points)
-        checked = False
+        checked = self.validate is None
         for word in words:
             if not points:
                 yield []
@@ -116,8 +121,9 @@ class GroupAction:
                     self.check_point(points[0])
                 moves.append(self._move(g))
             if moves and not checked:
-                for x in points:
-                    self.check_point(x)
+                if not all(map(self.validate, points)):
+                    for x in points:
+                        self.check_point(x)  # raises at the first invalid point
                 checked = True
             images = points
             for move in moves:
@@ -182,8 +188,8 @@ def _lamp_toggle(x) -> LampElement:
     lamps, pos = x
     i = bisect_left(lamps, pos)
     if i < len(lamps) and lamps[i] == pos:
-        return LampElement(lamps[:i] + lamps[i + 1 :], pos)
-    return LampElement(lamps[:i] + (pos,) + lamps[i:], pos)
+        return _new(LampElement, (lamps[:i] + lamps[i + 1 :], pos))
+    return _new(LampElement, (lamps[:i] + (pos,) + lamps[i:], pos))
 
 
 def lamplighter() -> GroupAction:
@@ -196,8 +202,8 @@ def lamplighter() -> GroupAction:
     return GroupAction(
         name="lamplighter",
         moves={
-            "+1": lambda x: LampElement(x[0], x[1] + 1),
-            "-1": lambda x: LampElement(x[0], x[1] - 1),
+            "+1": lambda x: _new(LampElement, (x[0], x[1] + 1)),
+            "-1": lambda x: _new(LampElement, (x[0], x[1] - 1)),
             "b": _lamp_toggle,
         },
         inverses={"+1": "-1", "-1": "+1", "b": "b"},
@@ -239,12 +245,15 @@ def free_group(rank: int) -> GroupAction:
 def finite_action(name: str, points: Sequence, perms: Mapping[str, Sequence]) -> GroupAction:
     """A finite right action given by one permutation (list of images) per generator.
 
-    Points and images are read as subspace labels are: lists, nested or
-    not, become tuples.  The points must be hashable, distinct and
+    ``points`` and each generator's images are lists (or tuples).  Points
+    and images are read as subspace labels are: lists, nested or not,
+    become tuples.  The points must be hashable, distinct and
     mutually comparable, so that they can serve as coordinate labels.
     """
     if not isinstance(perms, Mapping):
         raise ShapeError("generators must map names to permutations")
+    if not isinstance(points, (list, tuple)):
+        raise ShapeError(f"points must be a list, not {points!r}")
     points = [_decode_label(p) for p in points]
     try:
         universe = set(points)
@@ -264,6 +273,8 @@ def finite_action(name: str, points: Sequence, perms: Mapping[str, Sequence]) ->
     tables = {}
     inverses = {}
     for g, images in perms.items():
+        if not isinstance(images, (list, tuple)):
+            raise ShapeError(f"generator {g!r} must map to a list of images, not {images!r}")
         images = [_decode_label(p) for p in images]
         try:
             permutes = len(images) == len(points) and set(images) == universe
@@ -364,14 +375,17 @@ _LAMP_POINT_CAP = 1_048_576  # 2^n * n points
 
 
 def _lamp_box_points(n: int) -> list:
-    pts = []
-    window = list(range(1, n + 1))
-    for mask in range(1 << n):
-        lamps = tuple(window[i] for i in range(n) if mask >> i & 1)
-        for t in window:
-            pts.append(LampElement(lamps, t))
-    pts.sort()
-    return pts
+    """The 2^n * n points of lamp-box(n), built in sorted order.
+
+    The lamp sets come in lexicographic order, each with the heads
+    1..n.  The sets of {k..n} in that order are (), then (k,) + s for
+    each set s of {k+1..n}, then the nonempty sets of {k+1..n}; so no
+    point is sorted or compared.
+    """
+    sets = [()]
+    for k in range(n, 0, -1):
+        sets = [()] + [(k,) + s for s in sets] + sets[1:]
+    return [_new(LampElement, pair) for pair in product(sets, range(1, n + 1))]
 
 
 def family_generate(kind: str, n: int, field: FieldSpec = None):

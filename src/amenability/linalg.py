@@ -389,6 +389,11 @@ def subspace_from_rows(rows, labels: Sequence[Label], field: FieldSpec) -> Label
     labels = list(labels)
     if len(_label_set(labels)) != len(labels):
         raise ShapeError("labels must be pairwise distinct")
+    return _from_distinct(rows, labels, field)
+
+
+def _from_distinct(rows, labels: list, field: FieldSpec) -> LabeledSubspace:
+    """``subspace_from_rows`` for labels known to be pairwise distinct."""
     n = len(labels)
     order = _sorted_labels(range(n), key=labels.__getitem__)
     sorted_labels = tuple(labels[j] for j in order)
@@ -556,6 +561,12 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
     preserved); a FormalCombination maps each basis vector by the linear
     extension and the span is recanonicalized.  Labels outside the current
     ambient are created as needed (the ambient is all of K^X implicitly).
+
+    When g maps F's labels onto themselves (F.b for a lamp span), the
+    result keeps ``F.labels`` itself, and F's basis is moved to the image
+    columns and row-reduced once, with no label sort; otherwise the images
+    are sorted as ``subspace_from_rows`` sorts them.  Either way the result
+    equals ``subspace_from_rows(F.basis, images, F.field)``.
     """
     if isinstance(r, FormalCombination):
         if r.field != F.field:
@@ -574,10 +585,18 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
             big[:, cols] = _mod(big[:, cols] + coeff * F._array, p)
         return subspace_from_rows(big, new_labels, F.field)
 
-    (new_labels,) = action.act_points(F.labels, (r,))
-    if len(set(new_labels)) != len(new_labels):
+    (images,) = action.act_points(F.labels, (r,))
+    moved = set(images)
+    if len(moved) != len(images):
         raise DomainError("group element did not act injectively on the labels")
-    return subspace_from_rows(F.basis, new_labels, F.field)
+    if not moved.issuperset(F.labels):
+        return _from_distinct(F.basis, images, F.field)
+    # g permutes F's labels: label x keeps its column, and the column of x
+    # takes the coordinate that x.g^-1 had.
+    index = F.label_index()
+    moved_basis = _stacked(len(F.labels), (F, [index[y] for y in images]))
+    reduced, _ = _rref(moved_basis, F.field.characteristic)
+    return LabeledSubspace(F.field, F.labels, _to_basis(reduced, F.field))
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,23 @@ def test_folner_on_a_malformed_permutation_document_gives_structured_error(tmp_p
     assert json.loads(out)["error"] == {"type": "ShapeError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"points": 5, "generators": {}}, "points must be a list, not 5"),
+        ({"points": [0, 1], "generators": {"r": 5}}, "generator 'r' must map to a list of images, not 5"),
+    ],
+    ids=["points-not-a-list", "images-not-a-list"],
+)
+def test_folner_on_a_permutation_document_without_lists_gives_structured_error(tmp_path, doc, message, capsys):
+    # these once escaped as a raw TypeError ('int' object is not iterable)
+    path = tmp_path / "perm.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "folner", "--group", f"perm:{path}", "--family", "z-interval", "--n", "3")
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ShapeError", "message": message}
+
+
 @pytest.mark.parametrize("spec", ["Z^x", "free:x", "free:"])
 def test_folner_on_a_malformed_group_spec_gives_structured_error(spec, capsys):
     code, out = run_cli(capsys, "folner", "--group", spec, "--family", "z-interval", "--n", "3")
@@ -322,6 +339,29 @@ def test_profile_output_file(tmp_path, capsys):
     ids=["profile-lamp-span-gf3", "folner-lamp-span-q"],
 )
 def test_lamp_span_documents_are_byte_identical(argv, digest, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["folner", "--group", "lamplighter", "--family", "lamp-box", "--n", "6"],
+            "1424834118b0dbf17abde853531f9a60a92b297b96601a8b08afb5769f14a7a9",
+        ),
+        (
+            ["profile", "--group", "lamplighter", "--mode", "family", "--family", "lamp-box",
+             "--nmax", "8", "--format", "json"],
+            "740dd2f1ce55d84d0a77b92e7244fd1524dd186c39d3df5df3cb75067a3dd6f3",
+        ),
+    ],
+    ids=["folner-lamp-box", "profile-lamp-box-json"],
+)
+def test_lamp_box_documents_are_byte_identical(argv, digest, capsys):
+    # the set side of the lamplighter exhibit: the box is built in sorted
+    # order, and the documents must not change a byte
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

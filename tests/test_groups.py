@@ -369,6 +369,29 @@ def test_lamp_box_counts():
         assert len(family_generate("lamp-box", n)) == (1 << n) * n
 
 
+def test_lamp_box_is_the_sorted_brute_force_box():
+    # oracle: one point per (lamp mask, head), built with the namedtuple and sorted
+    for n in range(1, 11):
+        brute = sorted(
+            LampElement(tuple(k for k in range(1, n + 1) if mask >> (k - 1) & 1), t)
+            for mask in range(1 << n)
+            for t in range(1, n + 1)
+        )
+        box = family_generate("lamp-box", n)
+        assert box == tuple(brute)
+        assert all(type(x) is LampElement for x in box)
+
+
+def test_lamp_moves_build_lamp_elements():
+    # from a LampElement or a plain tuple alike
+    rng = random.Random(57)
+    for _ in range(100):
+        x = random_point(L, rng)
+        for g in L.generators:
+            assert type(L.apply(x, g)) is LampElement
+            assert type(L.apply(tuple(x), g)) is LampElement
+
+
 def test_lamp_span_dimension():
     for p in (2, 3):
         assert family_generate("lamp-span", 3, gf(p)).dim == 3
@@ -487,6 +510,21 @@ def test_finite_action_rejects_a_generator_named_like_a_derived_inverse():
 def test_malformed_permutation_documents_are_shape_errors(call, message):
     with pytest.raises(ShapeError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"points": 5, "generators": {}}, "points must be a list, not 5"),
+        ({"points": [0, 1], "generators": {"r": 5}}, "generator 'r' must map to a list of images, not 5"),
+    ],
+    ids=["points-not-a-list", "images-not-a-list"],
+)
+def test_permutation_documents_whose_points_or_images_are_not_lists_are_shape_errors(doc, message):
+    # these once escaped as a raw TypeError ('int' object is not iterable)
+    with pytest.raises(ShapeError) as err:
+        permutation_action_from_json(doc)
+    assert str(err.value) == message
 
 
 def test_an_unhashable_point_is_not_a_point_of_a_finite_action():

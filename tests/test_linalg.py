@@ -27,6 +27,7 @@ from amenability import (
     subspace_sum,
     zero_subspace,
     family_generate,
+    finite_action,
     align_pair,
     set_to_subspace,
     subspace_from_json,
@@ -469,6 +470,40 @@ def test_act_round_trip_is_identity():
     for g in ("+1", "-1", "b"):
         inverse = L.inverses[g]
         assert act_subspace(act_subspace(F, L, g), L, inverse) == F
+
+
+def _random_subspace(rng, labels, field, d):
+    p = field.characteristic
+    rows = [[rng.randrange(p) if p else rng.randrange(-2, 3) for _ in labels] for _ in range(d)]
+    return subspace_from_rows(rows, list(labels), field)
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), RATIONALS], ids=["gf2", "gf3", "q"])
+def test_act_subspace_agrees_with_relabelling_from_scratch(field):
+    # oracle: move every label point by point and canonicalize the rows anew
+    rng = random.Random(41 + field.characteristic)
+    Z, L = integer_line(), lamplighter()
+    cycle = finite_action("cycle", [0, 1, 2, 3, 4], {"r": [1, 2, 3, 4, 0], "s": [0, 4, 3, 2, 1]})
+    box = family_generate("lamp-box", 3)
+    cases = [(family_generate("lamp-span", n, field), L, "b") for n in (1, 2, 3)]
+    cases += [(_random_subspace(rng, box, field, d), L, g) for d in (1, 3) for g in L.generators]
+    cases += [
+        (_random_subspace(rng, labels, field, 2), cycle, g)
+        for labels in ([0, 1, 2, 3, 4], [0, 2, 3])  # all of the points, and a part a move overlaps
+        for g in cycle.generators
+    ]
+    cases += [(_random_subspace(rng, [10, 11, 12, 13], field, 2), Z, w) for w in ("+1", ("+1", "-1"), ())]
+    cases += [(zero_subspace(box, field), L, g) for g in ("b", "+1")]
+    cases += [(zero_subspace([], field), Z, "+1")]
+    stabilized = 0
+    for F, action, g in cases:
+        images = [action.act_word(x, g) for x in F.labels]
+        G = act_subspace(F, action, g)
+        assert G == subspace_from_rows(F.basis, images, field)
+        if set(images) == set(F.labels):
+            assert G.labels is F.labels  # a translate onto the same labels keeps them
+            stabilized += 1
+    assert 0 < stabilized < len(cases)
 
 
 def test_formal_combination_action():
