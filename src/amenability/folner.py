@@ -266,8 +266,10 @@ def subspace_report(F: LabeledSubspace, S, action: GroupAction) -> FolnerReport:
     translate takes the next free column, so a translate Fs is F's
     basis placed at the columns of its images; dim(F + Fs) is the rank
     of F stacked over Fs, and the union is the rank of F stacked over
-    every translate.  Each label is checked once, whatever S holds, and
-    no translate or sum is put in canonical form.
+    every translate.  Each label is checked once, whatever S holds (not
+    at all when an action with this ``validate`` vouched for F's labels,
+    as ``act_subspace`` reads it), and no translate or sum is put in
+    canonical form.
     """
     if F.dim < 1:
         raise DegenerateInputError("the zero subspace has no boundary ratio")
@@ -276,7 +278,8 @@ def subspace_report(F: LabeledSubspace, S, action: GroupAction) -> FolnerReport:
     col = F.label_index()
     stack = [(F, slice(len(col)))]
     per = {}
-    for (key, _), moved in zip(acting, action.act_points(F.labels, [w for _, w in acting])):
+    images = action._act_points(F.labels, [w for _, w in acting], F._checked_by is action.validate)
+    for (key, _), moved in zip(acting, images):
         cols = [col.setdefault(y, len(col)) for y in moved]
         if len(set(cols)) != len(cols):
             raise DomainError("group element did not act injectively on the labels")

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, InvalidFieldError, ShapeError
-from .linalg import FieldSpec, _decode_label, _require_int, _word, subspace_from_rows
+from .linalg import FieldSpec, _decode_label, _reduced_subspace, _require_int, _word
 
 Point = Any
 
@@ -102,22 +102,29 @@ class GroupAction:
         Each generator of a word and each point is checked once, however
         many words there are: generators map points of the action to
         points of the action, so only the start points need the check.
-        The lists are yielded word by word, so one word's images need
-        not outlive the next.  The errors are those that ``act_word``
-        point by point, word by word, would raise first: the first
-        generator of a word before the first point, that point before
-        the rest of the word.  An empty word checks nothing, and a word
-        with an unhashable letter is refused before any point.
+        Every call checks them, in one pass before the first non-empty
+        word's moves run (``_act_points`` skips that for the labels of a
+        subspace that this ``validate`` vouched for).  The lists are
+        yielded word by word, so one word's images need not outlive the
+        next.  The errors are those that ``act_word`` point by point,
+        word by word, would raise first: the first generator of a word
+        before the first point, that point before the rest of the word.
+        An empty word checks nothing, and a word with an unhashable
+        letter is refused before any point.
         """
+        return self._act_points(points, words, False)
+
+    def _act_points(self, points, words, checked: bool) -> Iterator[list]:
+        """``act_points``, with ``checked`` true for points known to pass ``validate``."""
         points = list(points)
-        checked = self.validate is None
+        checked = checked or self.validate is None
         for word in words:
             if not points:
                 yield []
                 continue
             moves = []
             for g in _word(word):
-                if moves and g not in self.moves:
+                if moves and not checked and g not in self.moves:
                     self.check_point(points[0])
                 moves.append(self._move(g))
             if moves and not checked:
@@ -135,13 +142,17 @@ class GroupAction:
 # built-in actions
 
 
+def _z_valid(x) -> bool:
+    return isinstance(x, int)
+
+
 def integer_line() -> GroupAction:
     """Z acting on itself by translation; generators +1 and -1."""
     return GroupAction(
         name="Z",
         moves={"+1": lambda x: x + 1, "-1": lambda x: x - 1},
         inverses={"+1": "-1", "-1": "+1"},
-        validate=lambda x: isinstance(x, int),
+        validate=_z_valid,
         base=0,
     )
 
@@ -395,6 +406,7 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
     exactly 2^n * n points.  lamp-span(n): the span of the n vectors
     "sum over every lamp pattern at head position t", dimension n.
     z-interval(n): {1..n} in Z; z-interval-span(n): its coordinate span.
+    A span is built in sorted order and RREF, vouched for by its action.
     """
     if isinstance(n, numbers.Real) and n < 1:
         raise ShapeError("family parameter must be at least 1")
@@ -407,9 +419,7 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
     if kind == "z-interval":
         return tuple(range(1, n + 1))
     if kind == "z-interval-span":
-        labels = list(range(1, n + 1))
-        rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        return subspace_from_rows(rows, labels, field)
+        return _reduced_subspace(np.eye(n, dtype=np.int64), tuple(range(1, n + 1)), field, _z_valid)
 
     if (1 << n) * n > _LAMP_POINT_CAP:
         raise CapacityError(f"lamp families are capped at {_LAMP_POINT_CAP} points")
@@ -417,8 +427,6 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
     if kind == "lamp-box":
         return tuple(points)
 
-    positions = np.fromiter((p.pos for p in points), dtype=np.int64, count=len(points))
-    rows = np.zeros((n, len(points)), dtype=np.int64)
-    for t in range(1, n + 1):
-        rows[t - 1, positions == t] = 1
-    return subspace_from_rows(rows, points, field)
+    # head t sits at columns t - 1, t - 1 + n, ...: the rows are I_n tiled
+    rows = np.tile(np.eye(n, dtype=np.int64), 1 << n)
+    return _reduced_subspace(rows, tuple(points), field, _lamp_valid)

@@ -22,8 +22,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -305,6 +307,16 @@ class LabeledSubspace:
     labels: tuple
     basis: Any
 
+    # The ``validate`` of an action that vouched for every label, set by
+    # the builders that know it; not a field, so ``replace``, equality,
+    # repr, pickling and copies never carry it.
+    _checked_by = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_checked_by", None)
+        return state
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -406,6 +418,19 @@ def _from_distinct(rows, labels: list, field: FieldSpec) -> LabeledSubspace:
     return LabeledSubspace(field=field, labels=sorted_labels, basis=_to_basis(reduced, field))
 
 
+def _vouched(space: LabeledSubspace, checked_by) -> LabeledSubspace:
+    """``space``, marked as having labels that ``checked_by`` accepts (None marks nothing)."""
+    if checked_by is not None:
+        object.__setattr__(space, "_checked_by", checked_by)
+    return space
+
+
+def _reduced_subspace(rows, labels: tuple, field: FieldSpec, checked_by) -> LabeledSubspace:
+    """Integer rows already in RREF over sorted labels that ``checked_by`` accepts."""
+    basis = _to_basis(_to_array(rows, field, len(labels)), field)
+    return _vouched(LabeledSubspace(field, labels, basis), checked_by)
+
+
 def zero_subspace(labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
     return subspace_from_rows([], labels, field)
 
@@ -491,7 +516,8 @@ def subspace_sum(E: LabeledSubspace, F: LabeledSubspace) -> LabeledSubspace:
     else:
         union, pos_e, pos_f = _merge_labels(E.labels, F.labels)
     reduced, _ = _rref(_stacked(len(union), (E, pos_e), (F, pos_f)), E.field.characteristic)
-    return LabeledSubspace(field=E.field, labels=union, basis=_to_basis(reduced, E.field))
+    G = LabeledSubspace(field=E.field, labels=union, basis=_to_basis(reduced, E.field))
+    return _vouched(G, E._checked_by if E._checked_by is F._checked_by else None)
 
 
 def quotient_dim(F: LabeledSubspace, G: LabeledSubspace) -> int:
@@ -562,18 +588,24 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
     extension and the span is recanonicalized.  Labels outside the current
     ambient are created as needed (the ambient is all of K^X implicitly).
 
-    When g maps F's labels onto themselves (F.b for a lamp span), the
-    result keeps ``F.labels`` itself, and F's basis is moved to the image
-    columns and row-reduced once, with no label sort; otherwise the images
-    are sorted as ``subspace_from_rows`` sorts them.  Either way the result
-    equals ``subspace_from_rows(F.basis, images, F.field)``.
+    F's labels are checked by ``action.validate`` unless an action with
+    that same ``validate`` vouched for them: F was built by
+    ``act_subspace``, ``subspace_sum`` or ``family_generate``, and moves
+    map points to points.  The result is marked as vouched for.
+
+    A single element costs its moves and at most one RREF.  A relabel
+    that keeps the labels' order (a shift of a lamp, interval or Z^d
+    span) reuses F's basis with no sort and no RREF; one that maps F's
+    labels onto themselves (F.b for a lamp span) keeps ``F.labels`` and
+    row-reduces once, with no sort (see ``_relabel``).
     """
+    checked = F._checked_by is action.validate
     if isinstance(r, FormalCombination):
         if r.field != F.field:
             raise FieldMismatchError("combination and subspace fields differ")
         if not r.terms:
             return zero_subspace(F.labels, F.field)
-        targets = dict(zip(r.support, action.act_points(F.labels, r.support)))
+        targets = dict(zip(r.support, action._act_points(F.labels, r.support, checked)))
         new_labels = sorted({y for tt in targets.values() for y in tt})
         moved = {lbl: j for j, lbl in enumerate(new_labels)}
         p = F.field.characteristic
@@ -583,19 +615,35 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
             if len(set(cols)) != len(cols):
                 raise DomainError("group element did not act injectively on the labels")
             big[:, cols] = _mod(big[:, cols] + coeff * F._array, p)
-        return subspace_from_rows(big, new_labels, F.field)
+        G = subspace_from_rows(big, new_labels, F.field)
+    else:
+        (images,) = action._act_points(F.labels, (r,), checked)
+        G = _relabel(F, images)
+    return _vouched(G, action.validate)
 
-    (images,) = action.act_points(F.labels, (r,))
+
+def _relabel(F: LabeledSubspace, images: list) -> LabeledSubspace:
+    """``subspace_from_rows(F.basis, images, F.field)``, for the images of F's labels.
+
+    Strictly increasing images are distinct and sorted, and RREF is
+    unique, so F's basis is theirs as it stands.
+    """
+    try:
+        keeps_order = all(map(operator.lt, images, islice(images, 1, None)))
+    except TypeError:  # labels that do not compare are refused below, as before
+        keeps_order = False
+    if keeps_order:
+        labels = tuple(images)  # equal to F's labels only for the identity
+        return LabeledSubspace(F.field, F.labels if labels == F.labels else labels, F.basis)
     moved = set(images)
     if len(moved) != len(images):
         raise DomainError("group element did not act injectively on the labels")
     if not moved.issuperset(F.labels):
         return _from_distinct(F.basis, images, F.field)
-    # g permutes F's labels: label x keeps its column, and the column of x
-    # takes the coordinate that x.g^-1 had.
+    # the images permute F's labels: label x keeps its column, and the
+    # column of x takes the coordinate that x.g^-1 had.
     index = F.label_index()
-    moved_basis = _stacked(len(F.labels), (F, [index[y] for y in images]))
-    reduced, _ = _rref(moved_basis, F.field.characteristic)
+    reduced, _ = _rref(_stacked(len(F.labels), (F, [index[y] for y in images])), F.field.characteristic)
     return LabeledSubspace(F.field, F.labels, _to_basis(reduced, F.field))
 
 

@@ -10,7 +10,8 @@ by row to integers and reduced mod ``linalg._prime_above`` of the
 Hadamard bound on its minors, a proven prime, which preserves the
 matroid exactly.  Greedy in a column order keeps the pivots of an
 elimination in that order.  A single order (``greedy_min_basis`` and
-the nested-pair moves) is one ``linalg._rref`` of the residues; a block
+the nested-pair moves) is a ``linalg._rref`` of the residues of a
+prefix of the order, doubled until it holds a basis; a block
 of orders (the sampler's chunks of directions, ``enumerate_bases``'
 label sets) is one ``_Kernel.greedy_rows`` call, as numpy steps over
 per-row echelon slots.  Independence is a rank over the field itself.
@@ -47,6 +48,7 @@ from .linalg import (
 Basis = tuple  # a sorted tuple of labels
 
 BASES_BLOCK = 1024  # label sets per greedy call in ``enumerate_bases``
+GREEDY_PREFIX = 64  # columns in the first prefix of a single greedy order
 
 
 class _Kernel:
@@ -186,9 +188,20 @@ def _eliminate(M: SubspaceMatroid, order: Sequence[int]):
 
 
 def _greedy(M: SubspaceMatroid, order: Sequence[int]) -> list:
-    """Greedy in a column order: the ascending columns that each enlarge the span."""
-    _, pivots = _eliminate(M, order)
-    return sorted(order[c] for c in pivots)
+    """Greedy in a column order: the ascending columns that each enlarge the span.
+
+    A column is a pivot exactly when it is outside the span of the
+    columns before it, so a prefix of the order has the pivots of the
+    whole order that lie in it.  Prefixes of 64, 128, ... columns are
+    eliminated until one holds a basis: greedy's pivots usually come
+    long before the last column.
+    """
+    width = GREEDY_PREFIX
+    while True:
+        _, pivots = _eliminate(M, order[:width])
+        if len(pivots) == M.rank or width >= len(order):
+            return sorted(order[c] for c in pivots)
+        width *= 2
 
 
 def _leading(M: SubspaceMatroid, labels: Sequence) -> list:
@@ -248,7 +261,7 @@ def greedy_min_basis(M: SubspaceMatroid, weights: Iterable) -> Basis:
         )
     if not finite:
         raise ShapeError("weights must be finite real numbers")
-    order = sorted(range(len(M.labels)), key=lambda i: (weights[i], i))
+    order = sorted(range(len(M.labels)), key=weights.__getitem__)  # stable: ties in label order
     return tuple(M.labels[j] for j in _greedy(M, order))
 
 

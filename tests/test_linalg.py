@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,13 +13,19 @@ from amenability import (
     GF2,
     RATIONALS,
     FieldMismatchError,
+    DomainError,
     FieldSpec,
     FormalCombination,
+    GroupAction,
     InvalidFieldError,
+    LabeledSubspace,
     ShapeError,
     act_subspace,
     contains_subspace,
     gf,
+    ball,
+    free_group,
+    integer_lattice,
     integer_line,
     lamplighter,
     load_subspace,
@@ -30,6 +39,7 @@ from amenability import (
     finite_action,
     align_pair,
     set_to_subspace,
+    subspace_report,
     subspace_from_json,
     subspace_to_json,
 )
@@ -482,10 +492,17 @@ def _random_subspace(rng, labels, field, d):
 def test_act_subspace_agrees_with_relabelling_from_scratch(field):
     # oracle: move every label point by point and canonicalize the rows anew
     rng = random.Random(41 + field.characteristic)
-    Z, L = integer_line(), lamplighter()
+    Z, Z2, L, fg = integer_line(), integer_lattice(2), lamplighter(), free_group(2)
     cycle = finite_action("cycle", [0, 1, 2, 3, 4], {"r": [1, 2, 3, 4, 0], "s": [0, 4, 3, 2, 1]})
     box = family_generate("lamp-box", 3)
-    cases = [(family_generate("lamp-span", n, field), L, "b") for n in (1, 2, 3)]
+    cases = [(family_generate("lamp-span", n, field), L, g) for n in (1, 2, 3) for g in L.generators]
+    shifted = act_subspace(family_generate("lamp-span", 3, field), L, "+1")
+    assert shifted._checked_by is L.validate  # the chain F -> F.+1 -> (F.+1).b runs on marked labels
+    cases += [(shifted, L, "b"), (act_subspace(shifted, L, "b"), L, "-1")]
+    cases += [(family_generate("z-interval-span", n, field), Z, g) for n in (1, 4) for g in ("+1", "-1")]
+    window = [(x, y) for x in range(-1, 2) for y in range(2)]
+    cases += [(_random_subspace(rng, window, field, 2), Z2, g) for g in Z2.generators]
+    cases += [(_random_subspace(rng, ball(fg, (), 2), field, d), fg, g) for d in (1, 3) for g in ("a", "A", "b")]
     cases += [(_random_subspace(rng, box, field, d), L, g) for d in (1, 3) for g in L.generators]
     cases += [
         (_random_subspace(rng, labels, field, 2), cycle, g)
@@ -495,15 +512,65 @@ def test_act_subspace_agrees_with_relabelling_from_scratch(field):
     cases += [(_random_subspace(rng, [10, 11, 12, 13], field, 2), Z, w) for w in ("+1", ("+1", "-1"), ())]
     cases += [(zero_subspace(box, field), L, g) for g in ("b", "+1")]
     cases += [(zero_subspace([], field), Z, "+1")]
-    stabilized = 0
+    stabilized = shifts = 0
     for F, action, g in cases:
         images = [action.act_word(x, g) for x in F.labels]
         G = act_subspace(F, action, g)
         assert G == subspace_from_rows(F.basis, images, field)
+        assert G._checked_by is action.validate  # the result's labels are vouched for
         if set(images) == set(F.labels):
             assert G.labels is F.labels  # a translate onto the same labels keeps them
             stabilized += 1
-    assert 0 < stabilized < len(cases)
+        if images == sorted(images) and len(F.labels) > 1:
+            assert G.basis is F.basis  # an order-keeping relabel reuses F's basis
+            shifts += 1
+    assert 0 < stabilized < len(cases) and 0 < shifts < len(cases)
+
+
+def test_labels_are_checked_unless_an_action_with_the_same_validate_vouched_for_them():
+    L, Z = lamplighter(), integer_line()
+    small = subspace_from_rows([[1, 1, 0]], (0, 1, 2), GF2)
+    for g in L.generators:
+        with pytest.raises(DomainError, match="is not a point of the lamplighter action"):
+            act_subspace(small, L, g)
+    with pytest.raises(DomainError, match="is not a point of the lamplighter action"):
+        subspace_report(small, L.generators, L)
+    interval = family_generate("z-interval-span", 3, GF2)
+    assert interval._checked_by is Z.validate
+    assert act_subspace(interval, Z, "+1").labels == (2, 3, 4)
+    with pytest.raises(DomainError, match="is not a point of the lamplighter action"):
+        act_subspace(interval, L, "+1")
+    with pytest.raises(DomainError, match="is not a point of the lamplighter action"):
+        subspace_report(act_subspace(interval, Z, "+1"), "b", L)
+    span = family_generate("lamp-span", 2, GF2)
+    copied = dataclasses.replace(span)
+    assert copied == span and copied._checked_by is None and span._checked_by is L.validate
+    assert subspace_sum(span, copied)._checked_by is None  # both summands must be vouched for
+    assert subspace_sum(span, act_subspace(span, L, "+1"))._checked_by is L.validate
+
+    # an action with its own validate checks each unmarked subspace once, a marked one never
+    calls = []
+    counted = GroupAction("counted", L.moves, L.inverses, lambda x: calls.append(x) or L.validate(x))
+    G = act_subspace(copied, counted, "+1")
+    assert len(calls) == len(span.labels) and G._checked_by is counted.validate
+    G = act_subspace(act_subspace(G, counted, "b"), counted, "-1")
+    subspace_report(G, counted.generators, counted)
+    assert len(calls) == len(span.labels)
+    assert G == act_subspace(copied, L, ("+1", "b", "-1")) and G._checked_by is counted.validate
+    act_subspace(copied, counted, "b")
+    assert len(calls) == 2 * len(span.labels)
+
+
+def test_a_marked_subspace_survives_pickle_and_deepcopy():
+    assert [f.name for f in dataclasses.fields(LabeledSubspace)] == ["field", "labels", "basis"]
+    cycle = finite_action("cycle", [0, 1, 2], {"r": [1, 2, 0]})
+    for field in (GF2, RATIONALS):
+        G = act_subspace(subspace_from_rows([[1, 2, 0]], [0, 1, 2], field), cycle, "r")
+        assert G._checked_by is cycle.validate
+        for again in (pickle.loads(pickle.dumps(G)), copy.deepcopy(G)):
+            assert again == G and repr(again) == repr(G)
+            assert again._checked_by is None  # the mark stays with the process that checked
+            assert act_subspace(again, cycle, "r") == act_subspace(G, cycle, "r")
 
 
 def test_formal_combination_action():

@@ -20,6 +20,7 @@ from amenability import (
     basis_extend,
     basis_restrict,
     enumerate_bases,
+    family_generate,
     greedy_min_basis,
     initial_basis,
     is_basis,
@@ -30,7 +31,7 @@ from amenability import (
     zero_subspace,
 )
 from amenability.linalg import _MR_EXACT_BELOW
-from amenability.matroid import BASES_BLOCK, _Kernel
+from amenability.matroid import BASES_BLOCK, GREEDY_PREFIX, _eliminate, _greedy, _Kernel
 
 
 def make(rows, labels, field=RATIONALS):
@@ -477,6 +478,34 @@ def _move_cases(kind):
     rng = random.Random(83 + field.characteristic)
     for _ in range(25):
         yield _nested_pair(rng, rng.randrange(1, 9), field)
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), RATIONALS], ids=["GF2", "GF3", "Q"])
+def test_greedy_on_prefixes_keeps_the_pivots_of_the_whole_order(field):
+    # oracle: the pivots of one elimination over every column of the order
+    rng = random.Random(7 + field.characteristic)
+    span = SubspaceMatroid(family_generate("lamp-span", 7, field))  # 896 labels, rank 7
+    heads = [x.pos for x in span.labels]
+    sparse = make(
+        [[rng.randrange(-2, 3) if j in (5, 300, 777, 895) else 0 for j in range(900)] for _ in range(3)],
+        range(900), field,
+    )
+    cases = [
+        (span, sorted(range(896), key=lambda j: (heads[j], j))),  # 128 columns per head
+        (span, sorted(range(896), key=lambda j: (-heads[j], j))),
+        (span, rng.sample(range(896), 896)),
+        (span, list(range(896))),
+        (span, rng.sample(range(896), 200)),  # part of the columns
+        (sparse, rng.sample(range(900), 900)),
+        (sparse, list(range(900))),  # the basis is complete only at the last column
+        (make([[0] * 100], range(100), field), list(range(100))),  # rank 0
+    ]
+    deficient = 0
+    for M, order in cases:
+        _, pivots = _eliminate(M, order)
+        assert _greedy(M, order) == sorted(order[c] for c in pivots)
+        deficient += len(_eliminate(M, order[:GREEDY_PREFIX])[1]) < M.rank
+    assert deficient >= 4
 
 
 @pytest.mark.parametrize("kind", ["GF2", "GF3", "GF31", "Q", "Q-object", "Q-proth"])
