@@ -32,6 +32,7 @@ from .linalg import (
     FieldSpec,
     FormalCombination,
     LabeledSubspace,
+    _gc_paused,
     _label_set,
     _rref,
     _sorted_labels,
@@ -103,6 +104,7 @@ def _translate_report(points: set, acting, translates, name: str) -> FolnerRepor
     )
 
 
+@_gc_paused
 def set_report(F: Iterable, S, action: GroupAction) -> FolnerReport:
     """Counting report for a finite set: (#(F u Fs) - #F) / #F per element."""
     points = _label_set(F)
@@ -167,6 +169,7 @@ def _l1_difference(f: Mapping[Any, int], g: Mapping[Any, int]) -> int:
     return inside + sum(v for x, v in g.items() if x not in f)
 
 
+@_gc_paused
 def function_report(f: WeightedFunction, S, action: GroupAction) -> dict:
     """Translation defect ||f - fs||_1 / ||f||_1 for each acting element.
 
@@ -199,6 +202,7 @@ class LayerCakeResult:
     per_generator_best: Mapping[Any, tuple]  # key -> (threshold, ratio)
 
 
+@_gc_paused
 def layer_cake(f: WeightedFunction, S, action: GroupAction) -> LayerCakeResult:
     """Recover an almost invariant set from an almost invariant function.
 
@@ -258,6 +262,7 @@ def set_to_subspace(F: Iterable, field: FieldSpec) -> LabeledSubspace:
     return subspace_from_rows(np.eye(len(points), dtype=np.int64), points, field)
 
 
+@_gc_paused
 def subspace_report(F: LabeledSubspace, S, action: GroupAction) -> FolnerReport:
     """Dimension report for a subspace: dim((F + Fs)/F) / dim F per element.
 
@@ -315,6 +320,7 @@ class FunctionWitness:
     tolerance: float
 
 
+@_gc_paused
 def subspace_to_function(
     F: LabeledSubspace, S, action: GroupAction, samples: int, seed: int
 ) -> FunctionWitness:

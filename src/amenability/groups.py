@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, InvalidFieldError, ShapeError
-from .linalg import FieldSpec, _decode_label, _reduced_subspace, _require_int, _word
+from .linalg import FieldSpec, _decode_label, _gc_paused, _reduced_subspace, _require_int, _word
 
 Point = Any
 
@@ -352,6 +352,7 @@ def base_point(action: GroupAction) -> Point:
     return action.base
 
 
+@_gc_paused
 def ball(action: GroupAction, base: Point, radius: int, cap: int = 100_000) -> tuple:
     """All points within word distance ``radius`` of ``base``, sorted."""
     if isinstance(radius, numbers.Real) and radius < 0:
@@ -399,6 +400,7 @@ def _lamp_box_points(n: int) -> list:
     return [_new(LampElement, pair) for pair in product(sets, range(1, n + 1))]
 
 
+@_gc_paused
 def family_generate(kind: str, n: int, field: FieldSpec = None):
     """The box/interval set families and their module (span) analogues.
 

@@ -19,6 +19,8 @@ matroid kernel of a rational subspace a prime above its Hadamard bound.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 import numbers
@@ -355,7 +357,7 @@ class LabeledSubspace:
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def label_index(self) -> dict:
-        return {lbl: j for j, lbl in enumerate(self.labels)}
+        return dict(zip(self.labels, range(len(self.labels))))
 
     def reduce_vector(self, vector: Sequence) -> tuple:
         """Residual of a coordinate vector after elimination against the basis."""
@@ -370,6 +372,38 @@ class LabeledSubspace:
 
     def contains_vector(self, vector: Sequence) -> bool:
         return all(x == 0 for x in self.reduce_vector(vector))
+
+
+def _gc_paused(fn):
+    """``fn`` run with Python's cyclic garbage collector paused.
+
+    A batch call builds or relabels thousands of labels, and a label that
+    is a tuple subclass (``LampElement``) stays tracked by the collector,
+    so each collection walks every live label again and finds nothing:
+    the built-in labels hold only numbers, strings and tuples, and form
+    no cycles.  Reference counting frees them as before, and a cycle a
+    call does leave is collected after it returns.  The collector is
+    re-enabled on return or raise only if it was enabled on entry, so a
+    caller's ``gc.disable()`` holds and a nested call costs one
+    ``gc.isenabled()`` test.
+
+    The switch is process-wide: while a call runs, no thread's cycles
+    are collected, and a thread that switches the collector meanwhile
+    may see its choice undone when the call returns.  The library calls
+    none of these from its sampling threads.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _require_int(value, what: str) -> None:
@@ -392,6 +426,7 @@ def _sorted_labels(labels, key=None) -> list:
         raise ShapeError("labels must be mutually comparable") from exc
 
 
+@_gc_paused
 def subspace_from_rows(rows, labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
     """Span of the given row vectors, canonicalized.
 
@@ -506,6 +541,7 @@ def align_pair(E: LabeledSubspace, F: LabeledSubspace):
     return rebuild(E, pos_e), rebuild(F, pos_f)
 
 
+@_gc_paused
 def subspace_sum(E: LabeledSubspace, F: LabeledSubspace) -> LabeledSubspace:
     """Span of E and F together; labels are unioned and vectors zero-padded."""
     if E.field != F.field:
@@ -580,6 +616,7 @@ class FormalCombination:
         return iter(self.terms)
 
 
+@_gc_paused
 def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
     """Right action of a group element or formal combination on a subspace.
 
@@ -635,15 +672,18 @@ def _relabel(F: LabeledSubspace, images: list) -> LabeledSubspace:
     if keeps_order:
         labels = tuple(images)  # equal to F's labels only for the identity
         return LabeledSubspace(F.field, F.labels if labels == F.labels else labels, F.basis)
-    moved = set(images)
-    if len(moved) != len(images):
-        raise DomainError("group element did not act injectively on the labels")
-    if not moved.issuperset(F.labels):
+    n = len(images)
+    try:
+        cols = list(map(F.label_index().__getitem__, images))
+    except KeyError:  # an image leaves F's labels
+        if len(set(images)) != n:
+            raise DomainError("group element did not act injectively on the labels") from None
         return _from_distinct(F.basis, images, F.field)
+    if len(set(cols)) != n:
+        raise DomainError("group element did not act injectively on the labels")
     # the images permute F's labels: label x keeps its column, and the
     # column of x takes the coordinate that x.g^-1 had.
-    index = F.label_index()
-    reduced, _ = _rref(_stacked(len(F.labels), (F, [index[y] for y in images])), F.field.characteristic)
+    reduced, _ = _rref(_stacked(n, (F, cols)), F.field.characteristic)
     return LabeledSubspace(F.field, F.labels, _to_basis(reduced, F.field))
 
 

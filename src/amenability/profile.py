@@ -28,7 +28,7 @@ from .errors import (
 )
 from .folner import _normalize_acting, set_report, set_to_subspace, subspace_report
 from .groups import GroupAction, family_generate
-from .linalg import FieldSpec, _label_set, _require_int, _sorted_labels
+from .linalg import FieldSpec, _gc_paused, _label_set, _require_int, _sorted_labels
 
 WINDOW_CAP = 24
 VMAX_CAP = 12
@@ -71,6 +71,7 @@ def _unions(by_bit: np.ndarray) -> np.ndarray:
     return out
 
 
+@_gc_paused
 def iso_set_exact(
     action: GroupAction, window: Iterable, S, v_max: int
 ) -> ProfileTable:
@@ -142,6 +143,7 @@ def iso_set_exact(
     return table
 
 
+@_gc_paused
 def iso_family_upper(
     kind: str,
     n_values: Iterable[int],

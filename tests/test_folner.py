@@ -1,9 +1,11 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
 from amenability import (
+    AmenabilityError,
     GF2,
     LAMP_IDENTITY,
     RATIONALS,
@@ -14,6 +16,7 @@ from amenability import (
     WeightedFunction,
     absorb_finite,
     act_subspace,
+    ball,
     base_point,
     contains_subspace,
     estimate_steiner,
@@ -25,6 +28,7 @@ from amenability import (
     gf,
     integer_lattice,
     integer_line,
+    iso_family_upper,
     iso_set_exact,
     lamplighter,
     layer_cake,
@@ -627,3 +631,111 @@ def test_a_group_element_is_a_name_a_list_or_a_tuple():
 def test_unhashable_points_are_a_shape_error(call):
     with pytest.raises(ShapeError, match="labels must be hashable"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the collector is paused inside the batch calls
+
+NOTED = []  # gc.isenabled() as seen by the moves and labels below
+
+
+def _noting(move):
+    def noted(x):
+        NOTED.append(gc.isenabled())
+        return move(x)
+
+    return noted
+
+
+NOTED_Z = GroupAction("noted Z", {g: _noting(m) for g, m in Z.moves.items()}, Z.inverses, Z.validate)
+
+
+class NotedInt(int):
+    """An integer (a label or a count) that notes the collector's switch whenever it is compared."""
+
+    def __lt__(self, other):
+        NOTED.append(gc.isenabled())
+        return int(self) < int(other)
+
+
+def _noted_values(values):
+    for v in values:
+        NOTED.append(gc.isenabled())
+        yield v
+
+
+def _noted_span(field=GF2):
+    return subspace_from_rows([[1, 1, 0], [0, 0, 1]], [NotedInt(2), NotedInt(0), NotedInt(1)], field)
+
+
+WEIGHTS = WeightedFunction({0: 2, 1: 1, 3: 1})
+
+# name -> (a call that returns, a call that raises); in each returning call a move or an
+# argument notes the switch, read by the call itself, not only by a paused call nested in it
+PAUSED_CALLS = {
+    "subspace_from_rows": (_noted_span, lambda: subspace_from_rows([[1, 1]], [0, 0], GF2)),
+    "subspace_sum": (
+        lambda: subspace_sum(_noted_span(), subspace_from_rows([[1]], [NotedInt(5)], GF2)),
+        lambda: subspace_sum(_noted_span(), _noted_span(RATIONALS)),
+    ),
+    "act_subspace": (
+        lambda: act_subspace(_noted_span(), NOTED_Z, "+1"),
+        lambda: act_subspace(_noted_span(), NOTED_Z, "zz"),
+    ),
+    "family_generate": (lambda: family_generate("lamp-span", NotedInt(3), GF2), lambda: family_generate("nope", 2)),
+    "ball": (lambda: ball(NOTED_Z, 0, 2), lambda: ball(NOTED_Z, 0, -1)),
+    "set_report": (lambda: set_report([0, 1], "+1", NOTED_Z), lambda: set_report([], "+1", NOTED_Z)),
+    "subspace_report": (
+        lambda: subspace_report(family_generate("z-interval-span", 3, GF2), "+1", NOTED_Z),
+        lambda: subspace_report(zero_subspace([0], GF2), "+1", NOTED_Z),
+    ),
+    "function_report": (lambda: function_report(WEIGHTS, "+1", NOTED_Z), lambda: function_report(WEIGHTS, "zz", NOTED_Z)),
+    "layer_cake": (lambda: layer_cake(WEIGHTS, "+1", NOTED_Z), lambda: layer_cake(WEIGHTS, "zz", NOTED_Z)),
+    "subspace_to_function": (
+        lambda: subspace_to_function(family_generate("z-interval-span", 3, GF2), "+1", NOTED_Z, NotedInt(64), 1),
+        lambda: subspace_to_function(zero_subspace([0], GF2), "+1", NOTED_Z, 64, 1),
+    ),
+    "iso_set_exact": (
+        lambda: iso_set_exact(NOTED_Z, range(4), "+1", 2),
+        lambda: iso_set_exact(NOTED_Z, range(4), "+1", 2.5),
+    ),
+    "iso_family_upper": (
+        lambda: iso_family_upper("z-interval", _noted_values([1, 2]), "+1", NOTED_Z),
+        lambda: iso_family_upper("z-interval", [2, 1], "+1", NOTED_Z),
+    ),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("name", sorted(PAUSED_CALLS))
+def test_a_batch_call_pauses_the_collector_and_leaves_it_as_it_found_it(name, enabled):
+    returns, raises = PAUSED_CALLS[name]
+    try:
+        (gc.enable if enabled else gc.disable)()
+        NOTED.clear()
+        returns()
+        assert gc.isenabled() is enabled
+        assert NOTED and not any(NOTED)  # every move or comparison ran with it paused
+        with pytest.raises(AmenabilityError):
+            raises()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_results_do_not_depend_on_the_callers_collector():
+    Z2 = integer_lattice(2)
+    window = [(x, y) for x in range(3) for y in range(4)]
+    calls = [
+        lambda: set_report(family_generate("lamp-box", 6), LAMP_GENS, L),
+        lambda: subspace_report(family_generate("lamp-span", 6, GF2), LAMP_GENS, L),
+        lambda: subspace_report(family_generate("lamp-span", 6, gf(3)), LAMP_GENS, L),
+        lambda: iso_set_exact(Z2, window, Z2.generators, 12),
+    ]
+    try:
+        on = [call() for call in calls]
+        gc.disable()
+        off = [call() for call in calls]
+    finally:
+        gc.enable()
+    assert on == off

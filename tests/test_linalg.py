@@ -1,8 +1,11 @@
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -43,7 +46,7 @@ from amenability import (
     subspace_from_json,
     subspace_to_json,
 )
-from amenability.linalg import _MR_EXACT_BELOW, _is_prime, _prime_above
+from amenability.linalg import _MR_EXACT_BELOW, _gc_paused, _is_prime, _prime_above
 
 GF5 = gf(5)
 
@@ -559,6 +562,89 @@ def test_labels_are_checked_unless_an_action_with_the_same_validate_vouched_for_
     assert G == act_subspace(copied, L, ("+1", "b", "-1")) and G._checked_by is counted.validate
     act_subspace(copied, counted, "b")
     assert len(calls) == 2 * len(span.labels)
+
+
+def _squash(images: dict) -> GroupAction:
+    """A finite action whose one move ``c`` follows the table ``images``, injective or not."""
+    return GroupAction("squash", {"c": images.__getitem__}, {"c": "c"}, lambda x: x in images)
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), RATIONALS], ids=["gf2", "gf3", "q"])
+def test_relabel_refuses_a_move_that_is_not_injective(field):
+    F = subspace_from_rows([[1, 2, 0], [0, 1, 1]], [0, 1, 2], field)
+    for images in (
+        {0: 1, 1: 1, 2: 0},  # every image a label of F, one hit twice
+        {0: 2, 1: 0, 2: 0},
+        {0: 5, 1: 5, 2: 0},  # images that leave F's labels, the first one repeated
+        {0: 1, 1: 1, 2: 7},  # a repeat among F's labels before the first image outside them
+    ):
+        with pytest.raises(DomainError, match="did not act injectively"):
+            act_subspace(F, _squash(images), "c")
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), RATIONALS], ids=["gf2", "gf3", "q"])
+def test_relabel_onto_labels_partly_outside_f_equals_relabelling_from_scratch(field):
+    F = subspace_from_rows([[1, 2, 0], [0, 1, 1]], [0, 1, 2], field)
+    for images in ({0: 2, 1: 0, 2: 7}, {0: 9, 1: 0, 2: 1}, {0: 2, 1: -1, 2: 1}):
+        moved = [images[x] for x in F.labels]
+        assert act_subspace(F, _squash(images), "c") == subspace_from_rows(F.basis, moved, field)
+
+
+def test_a_paused_call_restores_the_collector_as_it_found_it():
+    seen = []
+
+    @_gc_paused
+    def inner(fail):
+        seen.append(gc.isenabled())
+        if fail:
+            raise ShapeError("refused")
+        return "done"
+
+    @_gc_paused
+    def outer(fail):
+        result = inner(fail)
+        seen.append(gc.isenabled())  # the nested call did not switch it back on
+        return result
+
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for call in (inner, outer):
+                seen.clear()
+                assert call(False) == "done" and gc.isenabled() is enabled
+                with pytest.raises(ShapeError):
+                    call(True)
+                assert gc.isenabled() is enabled
+                assert seen and not any(seen)
+    finally:
+        gc.enable()
+    assert outer.__name__ == "outer" and outer.__wrapped__.__name__ == "outer"
+
+
+def test_paused_calls_on_many_threads_leave_the_collector_on():
+    # every thread that switched the collector off switches it back on, so
+    # however the pauses interleave the collector ends as it started
+    L = lamplighter()
+    span = family_generate("lamp-span", 3, gf(3))
+    done = []
+
+    def work():
+        for _ in range(40):
+            assert act_subspace(act_subspace(span, L, "b"), L, "+1") == act_subspace(span, L, "+1")
+        done.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads) and len(done) == len(threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert gc.isenabled()
 
 
 def test_a_marked_subspace_survives_pickle_and_deepcopy():
