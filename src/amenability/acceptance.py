@@ -13,6 +13,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,33 +321,48 @@ def criterion_9() -> str:
     return "line window: I(v) = 2/v with interval witnesses; free ball: I(v) >= 2"
 
 
+def _seeded_document() -> bytes:
+    """A seeded Steiner estimate and function witness, serialized to JSON bytes."""
+    rng = random.Random(0xAA)
+    sp = _random_subspace(rng, GF2, n_max=8, d_max=4)
+    est = estimate_steiner(SubspaceMatroid(sp), 5000, seed=4242)
+    span = family_generate("lamp-span", 4, GF2)
+    w = subspace_to_function(span, LAMP_GENS, lamplighter(), 2048, seed=4243)
+    doc = {
+        "vector": [str(x) for x in est.vector],
+        "hits": {",".join(map(str, k)): v for k, v in est.per_vertex_hits.items()},
+        "certificates": {k: str(v) for k, v in sorted(w.certificates.items())},
+        "sampled": {k: str(v) for k, v in sorted(w.sampled_ratios.items())},
+    }
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+_CHILD_CODE = "import sys, amenability.acceptance as a; sys.stdout.buffer.write(a._seeded_document())"
+_CHILD_TIMEOUT_S = 45.0
+
+
 @criterion("scheduling determinism", 60.0)
 def criterion_10() -> str:
-    """Worker-count independence: byte-identical outputs for 1 and 4 threads."""
-    payloads = []
-    for threads in ("1", "4"):
-        old = os.environ.get("AMEN_THREADS")
-        os.environ["AMEN_THREADS"] = threads
-        try:
-            rng = random.Random(0xAA)
-            sp = _random_subspace(rng, GF2, n_max=8, d_max=4)
-            est = estimate_steiner(SubspaceMatroid(sp), 5000, seed=4242)
-            span = family_generate("lamp-span", 4, GF2)
-            w = subspace_to_function(span, LAMP_GENS, lamplighter(), 2048, seed=4243)
-            doc = {
-                "vector": [str(x) for x in est.vector],
-                "hits": {",".join(map(str, k)): v for k, v in est.per_vertex_hits.items()},
-                "certificates": {k: str(v) for k, v in sorted(w.certificates.items())},
-                "sampled": {k: str(v) for k, v in sorted(w.sampled_ratios.items())},
-            }
-            payloads.append(json.dumps(doc, sort_keys=True).encode())
-        finally:
-            if old is None:
-                os.environ.pop("AMEN_THREADS", None)
-            else:
-                os.environ["AMEN_THREADS"] = old
-    assert payloads[0] == payloads[1], "outputs differ across worker counts"
-    return "AMEN_THREADS in {1, 4}: serialized outputs byte-identical"
+    """Process independence: a fresh interpreter with another hash seed builds the same bytes."""
+    here = _seeded_document()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    # string hashes randomized here are not in the child, and the other way round
+    env["PYTHONHASHSEED"] = "0" if sys.flags.hash_randomization else "1"
+    argv = [sys.executable, "-c", _CHILD_CODE]
+    try:  # "-c" puts the working directory first on sys.path: the package this process imported
+        run = subprocess.run(argv, cwd=src, env=env, capture_output=True, timeout=_CHILD_TIMEOUT_S)
+        failure = f"exited with status {run.returncode}" if run.returncode else None
+    except subprocess.TimeoutExpired as exc:
+        run, failure = exc, f"did not finish within {_CHILD_TIMEOUT_S:.0f}s"
+    except OSError as exc:
+        raise AssertionError(f"the fresh interpreter did not start: {exc}") from None
+    if failure:
+        tail = " | ".join((run.stderr or b"").decode(errors="replace").strip().splitlines()[-5:])
+        raise AssertionError(f"the fresh interpreter {failure}; stderr ends: {tail or '(empty)'}")
+    assert run.stdout == here, "the fresh interpreter built a different document"
+    return "a fresh interpreter with another hash seed built the same bytes"
 
 
 def run_all(only=None) -> list:

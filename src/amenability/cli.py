@@ -3,7 +3,7 @@
 Numbers in reports are exact rationals serialized as "num/den" strings;
 floats appear only in sampling metadata (stderr bounds, runtimes).  The
 default seed is a fixed constant, so identical invocations produce
-byte-identical documents regardless of AMEN_THREADS.
+byte-identical documents.
 """
 
 from __future__ import annotations

@@ -126,7 +126,7 @@ class WeightedFunction:
         for x, v in values.items():
             try:
                 v = Fraction(v)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
                 raise ShapeError(f"value {v!r} at {x!r} is not a rational") from exc
             if v < 0:
                 raise ShapeError(f"negative value {v} at {x!r}")

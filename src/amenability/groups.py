@@ -423,7 +423,8 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
     if kind == "z-interval-span":
         return _reduced_subspace(np.eye(n, dtype=np.int64), tuple(range(1, n + 1)), field, _z_valid)
 
-    if (1 << n) * n > _LAMP_POINT_CAP:
+    # from n = bit_length on, 2^n alone passes the cap: refuse before shifting by n
+    if n >= _LAMP_POINT_CAP.bit_length() or (1 << n) * n > _LAMP_POINT_CAP:
         raise CapacityError(f"lamp families are capped at {_LAMP_POINT_CAP} points")
     points = _lamp_box_points(n)
     if kind == "lamp-box":

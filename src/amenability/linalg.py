@@ -389,8 +389,7 @@ def _gc_paused(fn):
 
     The switch is process-wide: while a call runs, no thread's cycles
     are collected, and a thread that switches the collector meanwhile
-    may see its choice undone when the call returns.  The library calls
-    none of these from its sampling threads.
+    may see its choice undone when the call returns.
     """
 
     @functools.wraps(fn)

@@ -141,7 +141,7 @@ class SubspaceMatroid:
 
     @cached_property
     def _index(self) -> dict:
-        return {lbl: j for j, lbl in enumerate(self.space.labels)}
+        return self.space.label_index()
 
     @cached_property
     def _kernel(self) -> _Kernel:

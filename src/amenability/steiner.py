@@ -12,27 +12,23 @@ with shared directions the two greedy bases are nested, the estimates
 compare coordinatewise, and their L1 gap is exactly the dimension gap.
 
 Direction sampling is counter-based (Philox keyed by (seed, chunk)), so
-sample i depends only on (seed, i) and never on scheduling or worker
-count.  Every sampling entry point goes through one driver,
-``_shared_kept``: per chunk of 512 directions it sorts each row once
-and hands the orders to each matroid's kernel, which runs greedy for all
-of them together as one batched elimination over residues mod p, the
-same on every field and every number of labels.  Greedy reads only the
-start of an order, so on long rows the driver sorts a prefix of each
-row (``argpartition``, then the prefix by value and index) and sorts a
-row whole only when its prefix ends in a tie or leaves a kernel without
-a basis; the orders greedy reads are always the stable sort's.  The
-kernels keep no state between calls, so ``AMEN_THREADS`` threads can
-map the chunks; results are identical for any value.
+sample i depends only on (seed, i).  Every sampling entry point goes
+through one driver, ``_shared_kept``: per chunk of 512 directions it
+sorts each row once and hands the orders to each matroid's kernel,
+which runs greedy for all of them together as one batched elimination
+over residues mod p, the same on every field and every number of
+labels.  Greedy reads only the start of an order, so on long rows the
+driver sorts a prefix of each row (``argpartition``, then the prefix by
+value and index) and sorts a row whole only when its prefix ends in a
+tie or leaves a kernel without a basis; the orders greedy reads are
+always the stable sort's.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -51,14 +47,6 @@ from .matroid import SubspaceMatroid
 CHUNK = 512  # samples per Philox stream; fixed, part of the algorithm
 
 _SEED_LIMIT = 2**64
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("AMEN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -162,7 +150,7 @@ def _shared_kept(kernels, N: int, seed: int):
 
     Yields one list per chunk, in chunk order, holding for each kernel a
     (rows, rank) array of ascending label indices.  The kernels share
-    their labels; ``AMEN_THREADS`` threads map the chunks.
+    their labels.
 
     Greedy reads only the start of each order, so on rows longer than
     the prefix length k (``_prefix_length``) a chunk sorts just its
@@ -185,13 +173,7 @@ def _shared_kept(kernels, N: int, seed: int):
             out.append(kept)
         return out
 
-    chunks = range((N + CHUNK - 1) // CHUNK)
-    workers = _worker_count()
-    if workers == 1:
-        yield from map(run_chunk, chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run_chunk, chunks)
+    yield from map(run_chunk, range((N + CHUNK - 1) // CHUNK))
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -366,7 +348,7 @@ def minkowski_combination_check(
         raise ShapeError("Minkowski combination needs a common ambient label list")
     try:
         alpha = Fraction(alpha)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ShapeError(f"the combination weight must be rational, got {alpha!r}") from exc
     if not (0 <= alpha <= 1):
         raise ShapeError("the combination weight must lie in [0, 1]")

@@ -4,8 +4,13 @@ The criterion bodies live in ``amenability.acceptance`` so that the
 ``amen verify`` subcommand runs exactly the same checks.
 """
 
+import hashlib
+import sys
+import types
+
 import pytest
 
+import amenability
 from amenability import ShapeError, acceptance
 
 
@@ -66,3 +71,63 @@ def test_the_registry_holds_the_ten_criteria_in_order():
     assert [(fn.number, fn.title, fn.budget) for fn in registered.values()] == REGISTRY
     assert list(registered) == [k for k, _, _ in REGISTRY]
     assert [fn.__name__ for fn in registered.values()] == [f"criterion_{k}" for k in registered]
+
+
+def test_criterion_10_fails_when_the_fresh_interpreter_builds_other_bytes(monkeypatch):
+    # the child imports the package afresh, so only this process's document changes
+    monkeypatch.setattr(acceptance, "_seeded_document", lambda: b"{}")
+    result = acceptance.ALL_CRITERIA[10]()
+    assert not result.passed
+    assert result.detail == "the fresh interpreter built a different document"
+    assert acceptance.format_result(result).startswith("FAIL  10  scheduling determinism")
+
+
+def test_criterion_10_documents_the_seeded_estimate_and_witness():
+    digest = hashlib.sha256(acceptance._seeded_document()).hexdigest()
+    assert digest == "bfee65da6d586deaf004ec33389098974b17937734fad6a9eff5effa1246da3c"
+
+
+@pytest.mark.parametrize("randomized, child_seed", [(1, "0"), (0, "1")])
+def test_criterion_10_runs_the_same_package_with_another_hash_seed(monkeypatch, randomized, child_seed):
+    # the child reports its hash seed, whether it randomizes hashes and the package it imported
+    flags = types.SimpleNamespace(hash_randomization=randomized)
+    monkeypatch.setattr(acceptance, "sys", types.SimpleNamespace(flags=flags, executable=sys.executable))
+    monkeypatch.setattr(
+        acceptance,
+        "_CHILD_CODE",
+        "import os, sys, amenability\n"
+        "sys.stdout.write(f'{os.environ[\"PYTHONHASHSEED\"]} {sys.flags.hash_randomization} {amenability.__file__}')\n",
+    )
+    expected = f"{child_seed} {1 - randomized} {amenability.__file__}".encode()
+    monkeypatch.setattr(acceptance, "_seeded_document", lambda: expected)
+    result = acceptance.ALL_CRITERIA[10]()
+    assert result.passed, result.detail
+
+
+def test_criterion_10_turns_a_failed_child_into_a_fail_line(monkeypatch):
+    monkeypatch.setattr(acceptance, "_seeded_document", lambda: b"{}")
+    monkeypatch.setattr(
+        acceptance,
+        "_CHILD_CODE",
+        "import sys\nsys.stderr.write('first\\nlast words\\n')\nsys.exit(3)\n",
+    )
+    result = acceptance.ALL_CRITERIA[10]()
+    assert not result.passed
+    assert result.detail == "the fresh interpreter exited with status 3; stderr ends: first | last words"
+
+
+def test_criterion_10_turns_a_slow_child_into_a_fail_line(monkeypatch):
+    monkeypatch.setattr(acceptance, "_seeded_document", lambda: b"{}")
+    monkeypatch.setattr(acceptance, "_CHILD_CODE", "import time\ntime.sleep(60)\n")
+    monkeypatch.setattr(acceptance, "_CHILD_TIMEOUT_S", 1.0)
+    result = acceptance.ALL_CRITERIA[10]()
+    assert not result.passed
+    assert result.detail.startswith("the fresh interpreter did not finish within 1s; stderr ends: ")
+
+
+def test_criterion_10_turns_a_missing_interpreter_into_a_fail_line(monkeypatch, tmp_path):
+    monkeypatch.setattr(acceptance, "_seeded_document", lambda: b"{}")
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    result = acceptance.ALL_CRITERIA[10]()
+    assert not result.passed
+    assert result.detail.startswith("the fresh interpreter did not start: ")

@@ -55,16 +55,6 @@ def test_steiner_angles_sum_to_one(segment_file, capsys):
     assert abs(total - 1) < 1e-12
 
 
-def test_steiner_is_byte_identical_across_threads(segment_file, capsys, monkeypatch):
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("AMEN_THREADS", threads)
-        code, out = run_cli(capsys, "steiner", "--input", segment_file, "--samples", "2048")
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
 @pytest.mark.parametrize(
     "rows, field, argv, digest",
     [
@@ -207,6 +197,18 @@ def test_folner_capacity_error_is_structured(capsys):
     )
     assert code == 1
     assert json.loads(out)["error"]["type"] == "CapacityError"
+
+
+@pytest.mark.parametrize("family, field", [("lamp-box", []), ("lamp-span", ["--field", "2"])])
+def test_folner_on_a_huge_lamp_family_is_the_capacity_error(family, field, capsys):
+    # 10^30 once escaped as a raw OverflowError with a traceback
+    n = str(10**30)
+    code, out = run_cli(capsys, "folner", "--group", "lamplighter", "--family", family, "--n", n, *field)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "CapacityError",
+        "message": "lamp families are capped at 1048576 points",
+    }
 
 
 @pytest.mark.parametrize(

@@ -138,7 +138,7 @@ def test_zero_function_is_rejected():
 def test_negative_values_are_rejected():
     with pytest.raises(ShapeError):
         WeightedFunction({1: -1})
-    for value in (float("nan"), float("inf"), "x", None):  # and values that are no rationals
+    for value in (float("nan"), float("inf"), "x", None, "1/0"):  # and values that are no rationals
         with pytest.raises(ShapeError, match="is not a rational"):
             WeightedFunction({1: value})
 

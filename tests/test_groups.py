@@ -405,6 +405,21 @@ def test_z_families():
     assert sp.labels == (1, 2, 3, 4)
 
 
+class _NoShift(int):
+    """An integer that may be compared but not shifted by."""
+
+    def __rlshift__(self, other):
+        raise AssertionError(f"{other} << {int(self)} was computed")
+
+
+@pytest.mark.parametrize("kind, field", [("lamp-box", None), ("lamp-span", GF2)])
+@pytest.mark.parametrize("n", [17, 21, 10**6, 10**30])
+def test_lamp_families_past_the_cap_are_refused_before_shifting(kind, field, n):
+    # n = 10^30 once raised a raw OverflowError from (1 << n) * n; n = 17 is the first refused
+    with pytest.raises(CapacityError, match="^lamp families are capped at 1048576 points$"):
+        family_generate(kind, _NoShift(n) if n >= 21 else n, field)
+
+
 def test_family_capacity_and_validation():
     with pytest.raises(CapacityError):
         family_generate("lamp-box", 30)

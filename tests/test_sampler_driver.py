@@ -11,7 +11,6 @@ check it against the same reference.
 """
 
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -32,14 +31,12 @@ from amenability import (
     family_generate,
     gf,
     is_basis,
-    minkowski_combination_check,
     rref,
     subspace_from_rows,
     zero_subspace,
 )
 from amenability.linalg import _MR_EXACT_BELOW
 from amenability.steiner import CHUNK, _prefix_length, _stable_prefix, _tally, angles_from_hits
-from test_matroid import random_nested_pair
 
 # gfmax is the largest prime field: products of residues come within 2^62
 FIELDS = {"gf2": GF2, "gf3": gf(3), "gf31": gf(31), "gfmax": gf(2**31 - 1), "q": RATIONALS}
@@ -237,30 +234,6 @@ def test_nesting_is_checked_on_every_sample():
     F = matroid_with_loops_and_parallels(rng, GF2, 8, 2)
     with pytest.raises(InternalInvariantError):
         _tally([E, F], 600, 1, nested=True)
-
-
-def test_thread_counts_give_identical_results(monkeypatch):
-    # fresh matroids each time, shared by four threads with frequent switches
-    rng = random.Random(17)
-    spaces = [
-        matroid_with_loops_and_parallels(rng, FIELDS[name], 10, 3).space for name in sorted(FIELDS)
-    ]
-    E, F = random_nested_pair(rng, 9)
-    results = []
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for threads in ("1", "4"):
-            monkeypatch.setenv("AMEN_THREADS", threads)
-            run = [estimate_steiner(SubspaceMatroid(sp), 3000, 21) for sp in spaces]
-            pair = (SubspaceMatroid(E.space), SubspaceMatroid(F.space))
-            run.append(coupled_nested_estimate(*pair, 2100, 22))
-            M1, M2 = (SubspaceMatroid(sp) for sp in spaces[:2])
-            run.append(minkowski_combination_check(M1, M2, 0.25, 1800, 23))
-            results.append(run)
-    finally:
-        sys.setswitchinterval(interval)
-    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
