@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
-    DomainError,
     InternalInvariantError,
     ShapeError,
 )
@@ -33,6 +32,8 @@ from .linalg import (
     FormalCombination,
     LabeledSubspace,
     _gc_paused,
+    _injective,
+    _label_images,
     _label_set,
     _rref,
     _sorted_labels,
@@ -122,6 +123,8 @@ class WeightedFunction:
     values: Mapping[Any, Fraction]
 
     def __init__(self, values: Mapping[Any, Fraction]):
+        if not isinstance(values, Mapping):
+            raise ShapeError(f"values must map points to rationals, not {values!r}")
         cleaned = {}
         for x, v in values.items():
             try:
@@ -148,7 +151,10 @@ class WeightedFunction:
 
     @staticmethod
     def indicator(points: Iterable) -> "WeightedFunction":
-        return WeightedFunction({x: Fraction(1) for x in points})
+        try:
+            return WeightedFunction({x: Fraction(1) for x in points})
+        except TypeError as exc:
+            raise ShapeError(f"points must be an iterable of hashable points: {exc}") from exc
 
     @staticmethod
     def from_estimate(est: SteinerEstimate) -> "WeightedFunction":
@@ -272,9 +278,8 @@ def subspace_report(F: LabeledSubspace, S, action: GroupAction) -> FolnerReport:
     basis placed at the columns of its images; dim(F + Fs) is the rank
     of F stacked over Fs, and the union is the rank of F stacked over
     every translate.  Each label is checked once, whatever S holds (not
-    at all when an action with this ``validate`` vouched for F's labels,
-    as ``act_subspace`` reads it), and no translate or sum is put in
-    canonical form.
+    at all for a ``family_generate`` span of this action, as in
+    ``act_subspace``), and no translate or sum is put in canonical form.
     """
     if F.dim < 1:
         raise DegenerateInputError("the zero subspace has no boundary ratio")
@@ -283,11 +288,9 @@ def subspace_report(F: LabeledSubspace, S, action: GroupAction) -> FolnerReport:
     col = F.label_index()
     stack = [(F, slice(len(col)))]
     per = {}
-    images = action._act_points(F.labels, [w for _, w in acting], F._checked_by is action.validate)
+    images = _label_images(F, action, [w for _, w in acting])
     for (key, _), moved in zip(acting, images):
-        cols = [col.setdefault(y, len(col)) for y in moved]
-        if len(set(cols)) != len(cols):
-            raise DomainError("group element did not act injectively on the labels")
+        cols = _injective([col.setdefault(y, len(col)) for y in moved])
         _, pivots = _rref(_stacked(len(col), stack[0], (F, cols)), p)
         per[key] = Fraction(len(pivots) - F.dim, F.dim)
         stack.append((F, cols))

@@ -43,9 +43,15 @@ LAMP_IDENTITY = LampElement((), 0)
 _new = tuple.__new__
 
 
+def _lamp_element(a):
+    if not _lamp_valid(a):
+        raise ShapeError(f"a lamplighter element is a pair (sorted lit lamps, position), not {a!r}")
+    return a
+
+
 def lamp_multiply(a, b) -> LampElement:
     """(f, t)(g, u) = (f + g shifted by t, t + u), lamps over Z/2."""
-    (fa, ta), (fb, tb) = (tuple(a[0]), a[1]), (tuple(b[0]), b[1])
+    (fa, ta), (fb, tb) = _lamp_element(a), _lamp_element(b)
     lit = set(fa)
     for x in fb:
         lit ^= {x + ta}
@@ -53,7 +59,7 @@ def lamp_multiply(a, b) -> LampElement:
 
 
 def lamp_inverse(a) -> LampElement:
-    lamps, t = tuple(a[0]), a[1]
+    lamps, t = _lamp_element(a)
     return LampElement(tuple(sorted(x - t for x in lamps)), -t)
 
 
@@ -103,14 +109,12 @@ class GroupAction:
         many words there are: generators map points of the action to
         points of the action, so only the start points need the check.
         Every call checks them, in one pass before the first non-empty
-        word's moves run (``_act_points`` skips that for the labels of a
-        subspace that this ``validate`` vouched for).  The lists are
-        yielded word by word, so one word's images need not outlive the
-        next.  The errors are those that ``act_word`` point by point,
-        word by word, would raise first: the first generator of a word
-        before the first point, that point before the rest of the word.
-        An empty word checks nothing, and a word with an unhashable
-        letter is refused before any point.
+        word's moves run.  The lists are yielded word by word, so one
+        word's images need not outlive the next.  The errors are those
+        that ``act_word`` point by point, word by word, would raise
+        first: the first generator of a word before the first point, that
+        point before the rest of the word.  An empty word checks nothing,
+        and a word with an unhashable letter is refused before any point.
         """
         return self._act_points(points, words, False)
 
@@ -352,7 +356,6 @@ def base_point(action: GroupAction) -> Point:
     return action.base
 
 
-@_gc_paused
 def ball(action: GroupAction, base: Point, radius: int, cap: int = 100_000) -> tuple:
     """All points within word distance ``radius`` of ``base``, sorted."""
     if isinstance(radius, numbers.Real) and radius < 0:
@@ -384,6 +387,7 @@ def ball(action: GroupAction, base: Point, radius: int, cap: int = 100_000) -> t
 FAMILY_KINDS = ("lamp-box", "lamp-span", "z-interval", "z-interval-span")
 
 _LAMP_POINT_CAP = 1_048_576  # 2^n * n points
+_Z_CAPS = {"z-interval": _LAMP_POINT_CAP, "z-interval-span": 4_096}  # 4096^2 = 2^24 entries, as lamp-span(16)
 
 
 def _lamp_box_points(n: int) -> list:
@@ -408,7 +412,8 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
     exactly 2^n * n points.  lamp-span(n): the span of the n vectors
     "sum over every lamp pattern at head position t", dimension n.
     z-interval(n): {1..n} in Z; z-interval-span(n): its coordinate span.
-    A span is built in sorted order and RREF, vouched for by its action.
+    A span is built in sorted order and RREF, marked as made of its action's
+    points, so acting on it checks no label.  Oversized n is refused first.
     """
     if isinstance(n, numbers.Real) and n < 1:
         raise ShapeError("family parameter must be at least 1")
@@ -418,6 +423,8 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
         raise InvalidFieldError(f"{kind} needs a coefficient field")
     _require_int(n, "family parameter")
 
+    if n > _Z_CAPS.get(kind, n):
+        raise CapacityError(f"{kind} is capped at n = {_Z_CAPS[kind]}")
     if kind == "z-interval":
         return tuple(range(1, n + 1))
     if kind == "z-interval-span":

@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -309,15 +309,10 @@ class LabeledSubspace:
     labels: tuple
     basis: Any
 
-    # The ``validate`` of an action that vouched for every label, set by
-    # the builders that know it; not a field, so ``replace``, equality,
-    # repr, pickling and copies never carry it.
+    # The ``validate`` of the action whose points the labels are, set by
+    # ``family_generate`` only; not a field, so ``replace``, equality and
+    # repr ignore it, while pickles and copies keep it (by reference).
     _checked_by = None
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_checked_by", None)
-        return state
 
     @property
     def dim(self) -> int:
@@ -361,8 +356,8 @@ class LabeledSubspace:
 
     def reduce_vector(self, vector: Sequence) -> tuple:
         """Residual of a coordinate vector after elimination against the basis."""
-        if len(vector) != len(self.labels):
-            raise ShapeError("vector length must match the label count")
+        if not hasattr(vector, "__len__") or len(vector) != len(self.labels):
+            raise ShapeError("a vector must be a sequence of one scalar per label")
         v = _to_array([vector], self.field, len(vector))[0]
         p = self.field.characteristic
         for row, c in zip(self._array, self.pivot_columns()):
@@ -377,19 +372,15 @@ class LabeledSubspace:
 def _gc_paused(fn):
     """``fn`` run with Python's cyclic garbage collector paused.
 
-    A batch call builds or relabels thousands of labels, and a label that
-    is a tuple subclass (``LampElement``) stays tracked by the collector,
-    so each collection walks every live label again and finds nothing:
-    the built-in labels hold only numbers, strings and tuples, and form
-    no cycles.  Reference counting frees them as before, and a cycle a
-    call does leave is collected after it returns.  The collector is
-    re-enabled on return or raise only if it was enabled on entry, so a
-    caller's ``gc.disable()`` holds and a nested call costs one
-    ``gc.isenabled()`` test.
-
-    The switch is process-wide: while a call runs, no thread's cycles
-    are collected, and a thread that switches the collector meanwhile
-    may see its choice undone when the call returns.
+    For the calls in which collections were seen to start: each builds or
+    relabels thousands of labels, and a ``LampElement`` is a tuple subclass
+    that the collector keeps tracking, so each collection walked every live
+    label and freed nothing (labels form no cycles).  A cycle a call leaves
+    is collected after it returns.  The collector is re-enabled only if it
+    was enabled on entry, so a caller's ``gc.disable()`` holds.  The switch
+    is process-wide: while a call runs, no thread's cycles are collected,
+    and a thread that switches the collector meanwhile may see its choice
+    undone when the call returns.
     """
 
     @functools.wraps(fn)
@@ -448,33 +439,37 @@ def _from_distinct(rows, labels: list, field: FieldSpec) -> LabeledSubspace:
         raise ShapeError(f"row length {a.shape[1]} does not match label count {n}")
     if order != list(range(n)):
         a = a.take(order, axis=1)  # C-contiguous, which row operations want
+    return _canonical(a, sorted_labels, field)
+
+
+def _canonical(a: np.ndarray, labels: tuple, field: FieldSpec) -> LabeledSubspace:
+    """The span of ``a``'s rows (an ``_to_array`` array, reduced in place) over sorted distinct labels."""
     reduced, _ = _rref(a, field.characteristic)
-    return LabeledSubspace(field=field, labels=sorted_labels, basis=_to_basis(reduced, field))
-
-
-def _vouched(space: LabeledSubspace, checked_by) -> LabeledSubspace:
-    """``space``, marked as having labels that ``checked_by`` accepts (None marks nothing)."""
-    if checked_by is not None:
-        object.__setattr__(space, "_checked_by", checked_by)
-    return space
+    return LabeledSubspace(field, labels, _to_basis(reduced, field))
 
 
 def _reduced_subspace(rows, labels: tuple, field: FieldSpec, checked_by) -> LabeledSubspace:
-    """Integer rows already in RREF over sorted labels that ``checked_by`` accepts."""
-    basis = _to_basis(_to_array(rows, field, len(labels)), field)
-    return _vouched(LabeledSubspace(field, labels, basis), checked_by)
+    """Integer rows already in RREF over sorted labels, marked as accepted by ``checked_by``."""
+    space = LabeledSubspace(field, labels, _to_basis(_to_array(rows, field, len(labels)), field))
+    object.__setattr__(space, "_checked_by", checked_by)
+    return space
 
 
 def zero_subspace(labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
     return subspace_from_rows([], labels, field)
 
 
-def _merge_labels(a: tuple, b: tuple):
-    """Sorted union of two sorted label tuples, in one linear pass.
+def _merge_labels(E: LabeledSubspace, F: LabeledSubspace):
+    """Sorted union of the labels of two subspaces over one field, in one linear pass.
 
     Returns ``(union, pos_a, pos_b)``: ``pos_a[j]`` is the column of
-    ``a[j]`` in the union, likewise for ``b``.
+    ``E.labels[j]`` in the union, likewise for F; equal labels give slices.
     """
+    if E.field != F.field:
+        raise FieldMismatchError(f"cannot combine {E.field} with {F.field}")
+    a, b = E.labels, F.labels
+    if a == b:
+        return a, slice(None), slice(None)
     union = []
     pos_a = []
     pos_b = []
@@ -525,34 +520,20 @@ def _stacked(width: int, *parts) -> np.ndarray:
 
 def align_pair(E: LabeledSubspace, F: LabeledSubspace):
     """Rewrite two subspaces over the sorted union of their labels."""
-    if E.field != F.field:
-        raise FieldMismatchError(f"cannot combine {E.field} with {F.field}")
-    if E.labels == F.labels:
-        return E, F
-    union, pos_e, pos_f = _merge_labels(E.labels, F.labels)
+    union, pos_e, pos_f = _merge_labels(E, F)
 
     def rebuild(sp, cols):
         if len(sp.labels) == len(union):
             return sp
-        padded = _stacked(len(union), (sp, cols))
-        return LabeledSubspace(sp.field, union, _to_basis(padded, sp.field))
+        return LabeledSubspace(sp.field, union, _to_basis(_stacked(len(union), (sp, cols)), sp.field))
 
     return rebuild(E, pos_e), rebuild(F, pos_f)
 
 
-@_gc_paused
 def subspace_sum(E: LabeledSubspace, F: LabeledSubspace) -> LabeledSubspace:
     """Span of E and F together; labels are unioned and vectors zero-padded."""
-    if E.field != F.field:
-        raise FieldMismatchError(f"cannot combine {E.field} with {F.field}")
-    if E.labels == F.labels:
-        union = E.labels
-        pos_e = pos_f = slice(None)
-    else:
-        union, pos_e, pos_f = _merge_labels(E.labels, F.labels)
-    reduced, _ = _rref(_stacked(len(union), (E, pos_e), (F, pos_f)), E.field.characteristic)
-    G = LabeledSubspace(field=E.field, labels=union, basis=_to_basis(reduced, E.field))
-    return _vouched(G, E._checked_by if E._checked_by is F._checked_by else None)
+    union, pos_e, pos_f = _merge_labels(E, F)
+    return _canonical(_stacked(len(union), (E, pos_e), (F, pos_f)), union, E.field)
 
 
 def quotient_dim(F: LabeledSubspace, G: LabeledSubspace) -> int:
@@ -562,8 +543,6 @@ def quotient_dim(F: LabeledSubspace, G: LabeledSubspace) -> int:
 
 def contains_subspace(E: LabeledSubspace, F: LabeledSubspace) -> bool:
     """True iff E <= F, that is, iff E adds no dimension to F."""
-    if E.field != F.field:
-        raise FieldMismatchError(f"cannot compare {E.field} with {F.field}")
     return quotient_dim(F, E) == 0
 
 
@@ -597,6 +576,8 @@ class FormalCombination:
     terms: tuple
 
     def __init__(self, field: FieldSpec, terms: Mapping):
+        if not isinstance(terms, Mapping):
+            raise ShapeError(f"terms must map group elements to scalars, not {terms!r}")
         object.__setattr__(self, "field", field)
         cleaned = []
         for word, coeff in terms.items():
@@ -615,6 +596,18 @@ class FormalCombination:
         return iter(self.terms)
 
 
+def _label_images(F: LabeledSubspace, action, words) -> Iterator[list]:
+    """``action.act_points`` of F's labels, with no check for a family span of this ``validate``."""
+    return action._act_points(F.labels, words, F._checked_by is action.validate)
+
+
+def _injective(cols: list) -> list:
+    """``cols`` as given, refused unless pairwise distinct: the columns or images of F's labels."""
+    if len(set(cols)) != len(cols):
+        raise DomainError("group element did not act injectively on the labels") from None
+    return cols
+
+
 @_gc_paused
 def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
     """Right action of a group element or formal combination on a subspace.
@@ -623,11 +616,8 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
     preserved); a FormalCombination maps each basis vector by the linear
     extension and the span is recanonicalized.  Labels outside the current
     ambient are created as needed (the ambient is all of K^X implicitly).
-
-    F's labels are checked by ``action.validate`` unless an action with
-    that same ``validate`` vouched for them: F was built by
-    ``act_subspace``, ``subspace_sum`` or ``family_generate``, and moves
-    map points to points.  The result is marked as vouched for.
+    F's labels are checked by ``action.validate`` once, and not at all for
+    a ``family_generate`` span of an action with that same ``validate``.
 
     A single element costs its moves and at most one RREF.  A relabel
     that keeps the labels' order (a shift of a lamp, interval or Z^d
@@ -635,27 +625,21 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
     labels onto themselves (F.b for a lamp span) keeps ``F.labels`` and
     row-reduces once, with no sort (see ``_relabel``).
     """
-    checked = F._checked_by is action.validate
-    if isinstance(r, FormalCombination):
-        if r.field != F.field:
-            raise FieldMismatchError("combination and subspace fields differ")
-        if not r.terms:
-            return zero_subspace(F.labels, F.field)
-        targets = dict(zip(r.support, action._act_points(F.labels, r.support, checked)))
-        new_labels = sorted({y for tt in targets.values() for y in tt})
-        moved = {lbl: j for j, lbl in enumerate(new_labels)}
-        p = F.field.characteristic
-        big = _to_array(np.zeros((F.dim, len(new_labels)), dtype=bool), F.field)
-        for word, coeff in r.items():
-            cols = [moved[y] for y in targets[word]]
-            if len(set(cols)) != len(cols):
-                raise DomainError("group element did not act injectively on the labels")
-            big[:, cols] = _mod(big[:, cols] + coeff * F._array, p)
-        G = subspace_from_rows(big, new_labels, F.field)
-    else:
-        (images,) = action._act_points(F.labels, (r,), checked)
-        G = _relabel(F, images)
-    return _vouched(G, action.validate)
+    if not isinstance(r, FormalCombination):
+        (images,) = _label_images(F, action, (r,))
+        return _relabel(F, images)
+    if r.field != F.field:
+        raise FieldMismatchError("combination and subspace fields differ")
+    if not r.terms:
+        return zero_subspace(F.labels, F.field)
+    targets = dict(zip(r.support, _label_images(F, action, r.support)))
+    new_labels = _sorted_labels({y for tt in targets.values() for y in tt})
+    moved = {lbl: j for j, lbl in enumerate(new_labels)}
+    big = _to_array(np.zeros((F.dim, len(new_labels)), dtype=bool), F.field)
+    for word, coeff in r.items():
+        cols = _injective([moved[y] for y in targets[word]])
+        big[:, cols] = _mod(big[:, cols] + coeff * F._array, F.field.characteristic)
+    return _canonical(big, tuple(new_labels), F.field)
 
 
 def _relabel(F: LabeledSubspace, images: list) -> LabeledSubspace:
@@ -671,19 +655,13 @@ def _relabel(F: LabeledSubspace, images: list) -> LabeledSubspace:
     if keeps_order:
         labels = tuple(images)  # equal to F's labels only for the identity
         return LabeledSubspace(F.field, F.labels if labels == F.labels else labels, F.basis)
-    n = len(images)
     try:
-        cols = list(map(F.label_index().__getitem__, images))
+        cols = _injective(list(map(F.label_index().__getitem__, images)))
     except KeyError:  # an image leaves F's labels
-        if len(set(images)) != n:
-            raise DomainError("group element did not act injectively on the labels") from None
-        return _from_distinct(F.basis, images, F.field)
-    if len(set(cols)) != n:
-        raise DomainError("group element did not act injectively on the labels")
+        return _from_distinct(F.basis, _injective(images), F.field)
     # the images permute F's labels: label x keeps its column, and the
     # column of x takes the coordinate that x.g^-1 had.
-    reduced, _ = _rref(_stacked(n, (F, cols)), F.field.characteristic)
-    return LabeledSubspace(F.field, F.labels, _to_basis(reduced, F.field))
+    return _canonical(_stacked(len(cols), (F, cols)), F.labels, F.field)
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,10 @@ class SubspaceMatroid:
         idx = self._index
         out = []
         for lbl in labels:
-            if lbl not in idx:
-                raise DomainError(f"label {lbl!r} is not a coordinate of this subspace")
-            out.append(idx[lbl])
+            try:
+                out.append(idx[lbl])
+            except (KeyError, TypeError):  # an unhashable label is no coordinate either
+                raise DomainError(f"label {lbl!r} is not a coordinate of this subspace") from None
         return out
 
 

@@ -71,7 +71,6 @@ def _unions(by_bit: np.ndarray) -> np.ndarray:
     return out
 
 
-@_gc_paused
 def iso_set_exact(
     action: GroupAction, window: Iterable, S, v_max: int
 ) -> ProfileTable:

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     ContainmentError,
     DegenerateInputError,
+    DomainError,
     InternalInvariantError,
     ShapeError,
 )
@@ -78,6 +79,8 @@ class DirectionSampler:
 
     def directions(self, start: int, stop: int) -> np.ndarray:
         """Rows start..stop-1 of the sample stream."""
+        _require_int(start, "start")
+        _require_int(stop, "stop")
         if start < 0 or stop < start:
             raise ShapeError("bad sample range")
         parts = []
@@ -93,6 +96,7 @@ class DirectionSampler:
         return np.concatenate(parts, axis=0)
 
     def sample(self, i: int) -> np.ndarray:
+        _require_int(i, "sample index")
         return self.directions(i, i + 1)[0]
 
 
@@ -116,6 +120,8 @@ class SteinerEstimate:
         return sum(self.vector, Fraction(0))
 
     def coordinate(self, label) -> Fraction:
+        if label not in self.labels:
+            raise DomainError(f"label {label!r} is not a coordinate of this estimate")
         return self.vector[self.labels.index(label)]
 
 
@@ -211,10 +217,14 @@ def _tally(matroids, N: int, seed: int, nested: bool = False):
     return by_label, per_label
 
 
-def _check_sampling_args(M: SubspaceMatroid, N) -> None:
+def _require_samples(N) -> None:
     _require_int(N, "sample count")
     if N < 1:
         raise ShapeError("sample count must be at least 1")
+
+
+def _check_sampling_args(M: SubspaceMatroid, N) -> None:
+    _require_samples(N)
     if M.rank < 1:
         raise DegenerateInputError("the zero subspace has no Steiner point")
 
@@ -251,6 +261,7 @@ def angles_from_hits(M: SubspaceMatroid, hits: Mapping[tuple, int], samples: int
     One greedy call checks the keys before the first of the wrong length
     or with an unknown label; the error raised is the first bad key's.
     """
+    _require_samples(samples)
     idx, keys, rows = M._index, list(hits), []
     for basis in keys:
         if len(basis) != M.rank or not all(lbl in idx for lbl in basis):

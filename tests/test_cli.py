@@ -211,6 +211,14 @@ def test_folner_on_a_huge_lamp_family_is_the_capacity_error(family, field, capsy
     }
 
 
+@pytest.mark.parametrize("family, field, cap", [("z-interval", [], 1048576), ("z-interval-span", ["--field", "2"], 4096)])
+def test_folner_on_a_huge_z_family_is_the_capacity_error(family, field, cap, capsys):
+    # 10^30 once escaped as a raw OverflowError or ValueError with a traceback
+    code, out = run_cli(capsys, "folner", "--group", "Z", "--family", family, "--n", str(10**30), *field)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "CapacityError", "message": f"{family} is capped at n = {cap}"}
+
+
 @pytest.mark.parametrize(
     "points, images, error",
     [

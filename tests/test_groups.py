@@ -571,3 +571,26 @@ def test_a_finite_action_has_no_base_point_whatever_its_name():
         action = finite_action(name, [0, 1], {"r": [1, 0]})
         with pytest.raises(DomainError, match="no default base point"):
             base_point(action)
+
+
+@pytest.mark.parametrize("bad", [5, "x", None, ((), 0, 1), ([1], 0), ((2, 1), 0), ((1,), "0")])
+def test_lamp_multiply_and_inverse_refuse_what_is_no_lamplighter_element(bad):
+    # lamp_multiply(5, 6) once raised a raw TypeError and lamp_inverse("x") a raw IndexError
+    x = LampElement((1, 3), 2)
+    assert lamp_multiply(x, lamp_inverse(x)) == LAMP_IDENTITY
+    for call in (lambda: lamp_multiply(bad, x), lambda: lamp_multiply(x, bad), lambda: lamp_inverse(bad)):
+        with pytest.raises(ShapeError, match="a lamplighter element is a pair"):
+            call()
+
+
+@pytest.mark.parametrize("kind, field, cap", [("z-interval", None, 1_048_576), ("z-interval-span", GF2, 4_096)])
+def test_z_families_past_the_cap_are_refused_before_anything_is_built(kind, field, cap):
+    # n = 10^30 once raised a raw OverflowError from range, or a raw ValueError from np.eye
+    at_cap = family_generate(kind, cap, field)
+    labels = at_cap if field is None else at_cap.labels
+    assert len(labels) == cap and labels[-1] == cap
+    assert field is None or at_cap.dim == cap
+    del at_cap, labels
+    for n in (cap + 1, 10**30):
+        with pytest.raises(CapacityError, match=f"^{kind} is capped at n = {cap}$"):
+            family_generate(kind, n, field)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import gc
 import math
 import pickle
@@ -46,6 +47,7 @@ from amenability import (
     subspace_from_json,
     subspace_to_json,
 )
+from amenability import groups
 from amenability.linalg import _MR_EXACT_BELOW, _gc_paused, _is_prime, _prime_above
 
 GF5 = gf(5)
@@ -499,8 +501,7 @@ def test_act_subspace_agrees_with_relabelling_from_scratch(field):
     cycle = finite_action("cycle", [0, 1, 2, 3, 4], {"r": [1, 2, 3, 4, 0], "s": [0, 4, 3, 2, 1]})
     box = family_generate("lamp-box", 3)
     cases = [(family_generate("lamp-span", n, field), L, g) for n in (1, 2, 3) for g in L.generators]
-    shifted = act_subspace(family_generate("lamp-span", 3, field), L, "+1")
-    assert shifted._checked_by is L.validate  # the chain F -> F.+1 -> (F.+1).b runs on marked labels
+    shifted = act_subspace(family_generate("lamp-span", 3, field), L, "+1")  # a translate, checked when acted on
     cases += [(shifted, L, "b"), (act_subspace(shifted, L, "b"), L, "-1")]
     cases += [(family_generate("z-interval-span", n, field), Z, g) for n in (1, 4) for g in ("+1", "-1")]
     window = [(x, y) for x in range(-1, 2) for y in range(2)]
@@ -520,7 +521,6 @@ def test_act_subspace_agrees_with_relabelling_from_scratch(field):
         images = [action.act_word(x, g) for x in F.labels]
         G = act_subspace(F, action, g)
         assert G == subspace_from_rows(F.basis, images, field)
-        assert G._checked_by is action.validate  # the result's labels are vouched for
         if set(images) == set(F.labels):
             assert G.labels is F.labels  # a translate onto the same labels keeps them
             stabilized += 1
@@ -530,7 +530,22 @@ def test_act_subspace_agrees_with_relabelling_from_scratch(field):
     assert 0 < stabilized < len(cases) and 0 < shifts < len(cases)
 
 
-def test_labels_are_checked_unless_an_action_with_the_same_validate_vouched_for_them():
+@pytest.fixture
+def lamp_checks(monkeypatch):
+    """The points that the lamplighter's ``validate`` is called on, for actions and spans built after it."""
+    calls = []
+    valid = groups._lamp_valid
+
+    @functools.wraps(valid)  # the same module and name, so a span marked with it still pickles
+    def counted(x):
+        calls.append(x)
+        return valid(x)
+
+    monkeypatch.setattr(groups, "_lamp_valid", counted)
+    return calls
+
+
+def test_only_a_family_span_skips_the_label_check(lamp_checks):
     L, Z = lamplighter(), integer_line()
     small = subspace_from_rows([[1, 1, 0]], (0, 1, 2), GF2)
     for g in L.generators:
@@ -539,29 +554,30 @@ def test_labels_are_checked_unless_an_action_with_the_same_validate_vouched_for_
     with pytest.raises(DomainError, match="is not a point of the lamplighter action"):
         subspace_report(small, L.generators, L)
     interval = family_generate("z-interval-span", 3, GF2)
-    assert interval._checked_by is Z.validate
     assert act_subspace(interval, Z, "+1").labels == (2, 3, 4)
     with pytest.raises(DomainError, match="is not a point of the lamplighter action"):
-        act_subspace(interval, L, "+1")
+        act_subspace(interval, L, "+1")  # a span of another action is checked
     with pytest.raises(DomainError, match="is not a point of the lamplighter action"):
         subspace_report(act_subspace(interval, Z, "+1"), "b", L)
-    span = family_generate("lamp-span", 2, GF2)
-    copied = dataclasses.replace(span)
-    assert copied == span and copied._checked_by is None and span._checked_by is L.validate
-    assert subspace_sum(span, copied)._checked_by is None  # both summands must be vouched for
-    assert subspace_sum(span, act_subspace(span, L, "+1"))._checked_by is L.validate
 
-    # an action with its own validate checks each unmarked subspace once, a marked one never
+    span = family_generate("lamp-span", 2, GF2)
+    lamp_checks.clear()
+    translate = act_subspace(span, L, "+1")
+    subspace_report(span, L.generators, L)
+    act_subspace(span, L, FormalCombination(GF2, {"b": 1, "+1": 1}))
+    assert lamp_checks == []  # a family span is never checked
+    for other in (translate, subspace_sum(span, translate), dataclasses.replace(span)):
+        for act in (lambda: act_subspace(other, L, "b"), lambda: subspace_report(other, L.generators, L)):
+            lamp_checks.clear()
+            act()
+            assert sorted(lamp_checks) == list(other.labels)  # each label checked once
+
+    # an action with its own validate checks a family span once per call
     calls = []
     counted = GroupAction("counted", L.moves, L.inverses, lambda x: calls.append(x) or L.validate(x))
-    G = act_subspace(copied, counted, "+1")
-    assert len(calls) == len(span.labels) and G._checked_by is counted.validate
-    G = act_subspace(act_subspace(G, counted, "b"), counted, "-1")
-    subspace_report(G, counted.generators, counted)
-    assert len(calls) == len(span.labels)
-    assert G == act_subspace(copied, L, ("+1", "b", "-1")) and G._checked_by is counted.validate
-    act_subspace(copied, counted, "b")
+    G = act_subspace(act_subspace(span, counted, "+1"), counted, "b")
     assert len(calls) == 2 * len(span.labels)
+    assert G == act_subspace(span, L, ("+1", "b"))
 
 
 def _squash(images: dict) -> GroupAction:
@@ -580,6 +596,15 @@ def test_relabel_refuses_a_move_that_is_not_injective(field):
     ):
         with pytest.raises(DomainError, match="did not act injectively"):
             act_subspace(F, _squash(images), "c")
+
+
+def test_a_relabel_onto_labels_that_do_not_compare_is_a_shape_error():
+    # the combination branch once let a raw TypeError out of its sort
+    mix = GroupAction("mix", {"c": lambda x: "0" if x == 0 else x}, {"c": "c"}, lambda x: True)
+    F = subspace_from_rows([[1, 1]], [0, 1], GF2)
+    for r in ("c", FormalCombination(GF2, {"c": 1, (): 1})):
+        with pytest.raises(ShapeError, match="labels must be mutually comparable"):
+            act_subspace(F, mix, r)
 
 
 @pytest.mark.parametrize("field", [GF2, gf(3), RATIONALS], ids=["gf2", "gf3", "q"])
@@ -647,16 +672,16 @@ def test_paused_calls_on_many_threads_leave_the_collector_on():
     assert gc.isenabled()
 
 
-def test_a_marked_subspace_survives_pickle_and_deepcopy():
+def test_a_family_span_survives_pickle_and_deepcopy_unchecked(lamp_checks):
     assert [f.name for f in dataclasses.fields(LabeledSubspace)] == ["field", "labels", "basis"]
-    cycle = finite_action("cycle", [0, 1, 2], {"r": [1, 2, 0]})
+    L = lamplighter()
     for field in (GF2, RATIONALS):
-        G = act_subspace(subspace_from_rows([[1, 2, 0]], [0, 1, 2], field), cycle, "r")
-        assert G._checked_by is cycle.validate
-        for again in (pickle.loads(pickle.dumps(G)), copy.deepcopy(G)):
-            assert again == G and repr(again) == repr(G)
-            assert again._checked_by is None  # the mark stays with the process that checked
-            assert act_subspace(again, cycle, "r") == act_subspace(G, cycle, "r")
+        span = family_generate("lamp-span", 2, field)
+        for again in (pickle.loads(pickle.dumps(span)), copy.deepcopy(span)):
+            assert again == span and repr(again) == repr(span)
+            assert act_subspace(again, L, "b") == act_subspace(span, L, "b")
+            assert subspace_report(again, L.generators, L) == subspace_report(span, L.generators, L)
+    assert lamp_checks == []  # no copy of a family span is checked
 
 
 def test_formal_combination_action():
@@ -981,3 +1006,20 @@ def test_pivot_columns_are_each_rows_first_nonzero(field):
         expected = tuple(int(np.flatnonzero(row)[0]) for row in sp._array)
         assert sp.pivot_columns() == expected
         assert list(expected) == sorted(set(expected))
+
+
+def test_reduce_vector_refuses_what_is_not_a_sequence():
+    # reduce_vector(None) once raised a raw TypeError from len
+    F = subspace_from_rows([[1, 0, 1]], [0, 1, 2], GF2)
+    assert F.reduce_vector(np.array([1, 0, 1])) == (0, 0, 0)
+    for vector in (None, 5, [1, 0]):
+        with pytest.raises(ShapeError, match="one scalar per label"):
+            F.reduce_vector(vector)
+        with pytest.raises(ShapeError, match="one scalar per label"):
+            F.contains_vector(vector)
+
+
+def test_formal_combination_refuses_terms_that_are_not_a_mapping():
+    # once a raw AttributeError from list.items
+    with pytest.raises(ShapeError, match="terms must map group elements to scalars"):
+        FormalCombination(GF2, [("+1", 1)])

@@ -594,3 +594,11 @@ def test_greedy_weights_must_be_one_per_label(weights):
     M = make([(1, 0, 1), (0, 1, 1)], [1, 2, 3])
     with pytest.raises(ShapeError):
         greedy_min_basis(M, weights)
+
+
+def test_is_basis_refuses_unhashable_labels():
+    # once a raw TypeError from the label lookup
+    M = make([(1, 0), (0, 1)], [0, 1])
+    assert is_basis(M, [0, 1])
+    with pytest.raises(DomainError, match=r"label \[0\] is not a coordinate"):
+        is_basis(M, [[0], [1]])

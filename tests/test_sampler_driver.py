@@ -24,6 +24,7 @@ from amenability import (
     DirectionSampler,
     DomainError,
     InternalInvariantError,
+    ShapeError,
     SubspaceMatroid,
     coupled_nested_estimate,
     estimate_steiner,
@@ -386,3 +387,12 @@ def test_a_nested_pair_falls_back_kernel_by_kernel():
     pair = coupled_nested_estimate(E, F, N, seed)
     assert pair.low.per_vertex_hits == reference_hits(E, N, seed)
     assert pair.high.per_vertex_hits == reference_hits(F, N, seed)
+
+
+@pytest.mark.parametrize("samples", ["x", 2.0, True, 0, -3])
+def test_angles_from_hits_refuses_a_sample_count_that_is_not_a_positive_integer(samples):
+    # "x" once raised a raw TypeError from Fraction, and 0 a raw ZeroDivisionError
+    M = SubspaceMatroid(subspace_from_rows([[1, 0, 1], [0, 1, 1]], [0, 1, 2], GF2))
+    est = estimate_steiner(M, 64, 1)
+    with pytest.raises(ShapeError, match="sample count"):
+        angles_from_hits(M, est.per_vertex_hits, samples)

@@ -11,6 +11,7 @@ from amenability import (
     ContainmentError,
     DegenerateInputError,
     DirectionSampler,
+    DomainError,
     ShapeError,
     SubspaceMatroid,
     align_pair,
@@ -341,3 +342,23 @@ def _combine(a, b, alpha):
 
 def _dot(a, b):
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def test_coordinate_of_an_unknown_label_is_a_domain_error():
+    # once a raw ValueError from tuple.index
+    est = estimate_steiner(SEGMENT, 64, 1)
+    assert est.coordinate(1) == 1
+    with pytest.raises(DomainError, match="label 9 is not a coordinate"):
+        est.coordinate(9)
+
+
+def test_sampler_refuses_indices_that_are_not_integers():
+    # once raw TypeErrors from "x" + 1 and from slicing by 0.5
+    s = DirectionSampler(seed=1, dimension=3)
+    with pytest.raises(ShapeError, match="sample index must be an integer"):
+        s.sample("x")
+    with pytest.raises(ShapeError, match="start must be an integer"):
+        s.directions(0.5, 2)
+    with pytest.raises(ShapeError, match="stop must be an integer"):
+        s.directions(0, None)
+    assert np.array_equal(s.sample(np.int64(2)), s.directions(2, 3)[0])
