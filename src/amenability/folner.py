@@ -22,11 +22,12 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from .errors import (
+    AmenabilityError,
     DegenerateInputError,
     InternalInvariantError,
     ShapeError,
 )
-from .groups import GroupAction
+from .groups import GroupAction, _lamp_codes, _sorted_distinct
 from .linalg import (
     FieldSpec,
     FormalCombination,
@@ -88,32 +89,67 @@ def _normalize_acting(S) -> list:
     return out
 
 
-def _translate_report(points: set, acting, translates, name: str) -> FolnerReport:
-    """The set report of ``points`` from its translate by each acting element."""
-    size = len(points)
-    per = {}
-    union = set(points)
-    for (key, _), translated in zip(acting, translates):
-        per[key] = Fraction(len(translated - points), size)
-        union |= translated
+def _translate_report(size: int, acting, gains, union_size: int, name: str) -> FolnerReport:
+    """The set report of ``size`` points from #(Fs - F) per acting element and #(F u FS)."""
     return FolnerReport(
         subject=f"set of {size} points under {name}",
         size=size,
-        per_generator=per,
-        union_ratio=Fraction(len(union) - size, size),
-        union_size=len(union),
+        per_generator={key: Fraction(gain, size) for (key, _), gain in zip(acting, gains)},
+        union_ratio=Fraction(union_size - size, size),
+        union_size=union_size,
     )
+
+
+def _set_counts(points: set, translates) -> tuple:
+    """#(Fs - F) for each translate Fs of ``points``, and #(F u FS)."""
+    gains = []
+    union = set(points)
+    for translated in translates:
+        gains.append(len(translated - points))
+        union |= translated
+    return gains, len(union)
+
+
+def _code_counts(codes: np.ndarray, images) -> tuple:
+    """``_set_counts`` on the sorted distinct codes of F and the sorted codes of each translate."""
+    gains, fresh = [], []
+    last = len(codes) - 1
+    for image in images:
+        outside = image[codes[np.minimum(np.searchsorted(codes, image), last)] != image]
+        gains.append(len(outside))
+        fresh.append(outside)
+    return gains, len(codes) + len(_sorted_distinct(np.concatenate(fresh)))
 
 
 @_gc_paused
 def set_report(F: Iterable, S, action: GroupAction) -> FolnerReport:
-    """Counting report for a finite set: (#(F u Fs) - #F) / #F per element."""
+    """Counting report for a finite set: (#(F u Fs) - #F) / #F per element.
+
+    Lamplighter points are counted as int64 codes when ``groups._lamp_codes``
+    vouches for all of them: F a tuple, list, set or frozenset of
+    ``(lamps, head)`` pairs with an ``int`` head and increasing ``int``
+    lamps, every letter a lamplighter move, and all points inside a window
+    of 57 positions once the heads are widened by the longest word.  Each
+    translate is then a sorted code array, and #(Fs - F) and #(F u FS)
+    are counted on those arrays; no image tuple or set is built and no
+    point is checked one by one.  Any other input takes the
+    point-by-point path, which gives the same report and raises every
+    error, in the same order.
+    """
+    try:
+        acting = _normalize_acting(S)
+    except AmenabilityError:  # raised by the point-by-point path, after F's own errors
+        acting = None
+    coded = acting and _lamp_codes(F, [word for _, word in acting], action)
+    if coded:
+        codes, images = coded
+        return _translate_report(len(codes), acting, *_code_counts(codes, images), action.name)
     points = _label_set(F)
     if not points:
         raise DegenerateInputError("the empty set has no boundary ratio")
     acting = _normalize_acting(S)
     images = action.act_points(points, [word for _, word in acting])
-    return _translate_report(points, acting, map(set, images), action.name)
+    return _translate_report(len(points), acting, *_set_counts(points, map(set, images)), action.name)
 
 
 @dataclass(frozen=True)
@@ -237,7 +273,7 @@ def layer_cake(f: WeightedFunction, S, action: GroupAction) -> LayerCakeResult:
         level = set(ranked[:size])
         size -= counts[value]
         translates = ({move[x] for x in level} for move in moves)
-        report = _translate_report(level, acting, translates, action.name)
+        report = _translate_report(len(level), acting, *_set_counts(level, translates), action.name)
         if best is None or report.union_ratio < best[2].union_ratio:
             best = (t, value, report)
         for key, gain in report.per_generator.items():

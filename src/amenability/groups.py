@@ -14,7 +14,8 @@ import numbers
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product, repeat
+from operator import sub
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -199,6 +200,14 @@ def _lamp_valid(x) -> bool:
     return True
 
 
+def _lamp_forward(x) -> LampElement:
+    return _new(LampElement, (x[0], x[1] + 1))
+
+
+def _lamp_back(x) -> LampElement:
+    return _new(LampElement, (x[0], x[1] - 1))
+
+
 def _lamp_toggle(x) -> LampElement:
     lamps, pos = x
     i = bisect_left(lamps, pos)
@@ -216,15 +225,92 @@ def lamplighter() -> GroupAction:
     """
     return GroupAction(
         name="lamplighter",
-        moves={
-            "+1": lambda x: _new(LampElement, (x[0], x[1] + 1)),
-            "-1": lambda x: _new(LampElement, (x[0], x[1] - 1)),
-            "b": _lamp_toggle,
-        },
+        moves={"+1": _lamp_forward, "-1": _lamp_back, "b": _lamp_toggle},
         inverses={"+1": "-1", "-1": "+1", "b": "b"},
         validate=_lamp_valid,
         base=LAMP_IDENTITY,
     )
+
+
+# A lamplighter code packs a point (lamps, head) of a window of w positions
+# lo..lo+w-1 into one int64, mask * w + (head - lo), where bit i of mask is
+# the lamp at lo + i.  The largest code, 2^w * w - 1, fits for w <= 57.
+_LAMP_CODE_WINDOW = 57
+_LAMP_MOVES = (_lamp_forward, _lamp_back, _lamp_toggle)
+
+
+def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, sorted (``np.unique`` without its hashing)."""
+    codes = np.sort(codes)
+    if len(codes) > 1:
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    return codes
+
+
+def _lamp_codes(points, words, action: GroupAction):
+    """Lamplighter points and their images under each word as sorted int64 codes.
+
+    Returns the sorted, distinct codes of ``points`` and, per word, the
+    sorted codes of the points' images (distinct, as a word moves points
+    injectively).  Returns None, and never raises, unless every input is
+    vouched for: ``action`` validates by ``_lamp_valid`` and moves each
+    letter of the words by one of the lamp moves; ``points`` is a
+    non-empty tuple, list, set or frozenset of tuples or ``LampElement``s
+    (lamps, head) with an ``int`` head and a tuple of increasing ``int``
+    lamps (each distinct lamp tuple is checked once); and all of them,
+    with the heads widened by the longest word each way, fit in a window
+    of ``_LAMP_CODE_WINDOW`` positions.  The caller's generic path then
+    serves, and raises, any other input.
+    """
+    if getattr(action, "validate", None) is not _lamp_valid:
+        return None
+    if type(points) not in (tuple, list, set, frozenset) or not points:
+        return None
+    steps = [[action.moves.get(g) for g in word] for word in words]
+    if not all(move in _LAMP_MOVES for step in steps for move in step):
+        return None
+    if not {tuple, LampElement}.issuperset(map(type, points)) or set(map(len, points)) != {2}:
+        return None
+    lamp_sets, heads = zip(*points)
+    ids = np.fromiter(map(id, lamp_sets), np.uint64, len(lamp_sets))
+    _, first, where = np.unique(ids, return_index=True, return_inverse=True)  # sorts: no hashing
+    distinct = [lamp_sets[i] for i in first.tolist()]  # each lamp tuple object once
+    if set(map(type, distinct)) != {tuple}:
+        return None
+    lamps = list(chain.from_iterable(distinct))
+    if not {int}.issuperset(map(type, chain(lamps, heads))):
+        return None
+    reach = max(map(len, words), default=0)
+    lo, hi = min(heads) - reach, max(heads) + reach
+    if lamps:
+        lo, hi = min(lo, min(lamps)), max(hi, max(lamps))
+    w = hi - lo + 1
+    if w > _LAMP_CODE_WINDOW:
+        return None
+
+    sizes = np.fromiter(map(len, distinct), np.int64, len(distinct))
+    bits = np.fromiter(map(sub, lamps, repeat(lo)), np.int64, len(lamps))
+    rising = np.ones(len(bits), dtype=bool)  # each lamp above the one before it in its tuple
+    rising[1:] = bits[1:] > bits[:-1]
+    rising[(np.cumsum(sizes) - sizes)[sizes > 0]] = True
+    if not rising.all():
+        return None
+    masks = np.zeros(len(sizes), dtype=np.int64)
+    np.add.at(masks, np.repeat(np.arange(len(sizes)), sizes), 1 << bits)  # distinct bits: + is |
+    offsets = np.fromiter(map(sub, heads, repeat(lo)), np.int64, len(heads))
+    codes = _sorted_distinct(masks[where] * w + offsets)
+
+    masks, offsets = np.divmod(codes, w)
+    images = []
+    for step in steps:
+        m, o = masks, offsets
+        for move in step:
+            if move is _lamp_toggle:
+                m = m ^ (1 << o)
+            else:
+                o = o + 1 if move is _lamp_forward else o - 1
+        images.append(np.sort(m * w + o))
+    return codes, images
 
 
 def free_group(rank: int) -> GroupAction:
@@ -333,6 +419,8 @@ def permutation_action_from_json(source) -> GroupAction:
 
 def parse_group(spec: str) -> GroupAction:
     """Group spec strings for the CLI: Z, Z^d, lamplighter, free:k, perm:file."""
+    if not isinstance(spec, str):
+        raise ShapeError(f"group spec must be a string, not {spec!r}")
     if spec == "Z":
         return integer_line()
     if spec == "lamplighter":

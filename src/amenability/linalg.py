@@ -448,9 +448,14 @@ def _canonical(a: np.ndarray, labels: tuple, field: FieldSpec) -> LabeledSubspac
     return LabeledSubspace(field, labels, _to_basis(reduced, field))
 
 
-def _reduced_subspace(rows, labels: tuple, field: FieldSpec, checked_by) -> LabeledSubspace:
-    """Integer rows already in RREF over sorted labels, marked as accepted by ``checked_by``."""
-    space = LabeledSubspace(field, labels, _to_basis(_to_array(rows, field, len(labels)), field))
+def _reduced_subspace(rows: np.ndarray, labels: tuple, field: FieldSpec, checked_by) -> LabeledSubspace:
+    """0/1 int64 rows already in RREF over sorted labels, marked as accepted by ``checked_by``.
+
+    Over GF(p) the rows are residues already and become the basis itself
+    (made read-only), with no reduced copy.
+    """
+    a = _to_array(rows, field) if field.is_rational else rows
+    space = LabeledSubspace(field, labels, _to_basis(a, field))
     object.__setattr__(space, "_checked_by", checked_by)
     return space
 

@@ -71,6 +71,12 @@ def _unions(by_bit: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_v_max(v_max) -> None:
+    if isinstance(v_max, numbers.Real) and not (1 <= v_max <= VMAX_CAP):
+        raise CapacityError(f"v_max must be between 1 and {VMAX_CAP}")
+    _require_int(v_max, "v_max")
+
+
 def iso_set_exact(
     action: GroupAction, window: Iterable, S, v_max: int
 ) -> ProfileTable:
@@ -89,9 +95,7 @@ def iso_set_exact(
         raise DegenerateInputError("the window must contain at least one point")
     if w > WINDOW_CAP:
         raise CapacityError(f"window has {w} points; the exhaustive cap is {WINDOW_CAP}")
-    if isinstance(v_max, numbers.Real) and not (1 <= v_max <= VMAX_CAP):
-        raise CapacityError(f"v_max must be between 1 and {VMAX_CAP}")
-    _require_int(v_max, "v_max")
+    _check_v_max(v_max)
 
     acting = [word for _, word in _normalize_acting(S)]
     # Point i gets bit w-1-i, so among subsets of one size the largest
@@ -227,8 +231,8 @@ def naive_iso_set(action: GroupAction, window: Iterable, S, v_max: int) -> Profi
     points = _sorted_labels(_label_set(window))
     if len(points) > 16:
         raise CapacityError("the naive oracle is capped at 16 window points")
+    _check_v_max(v_max)
     acting = [word for _, word in _normalize_acting(S)]
-    _require_int(v_max, "v_max")
     best_by_size = {}
     for k in range(1, min(v_max, len(points)) + 1):
         for combo in combinations(points, k):

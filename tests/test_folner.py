@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from amenability import (
@@ -13,6 +14,7 @@ from amenability import (
     DegenerateInputError,
     DomainError,
     FormalCombination,
+    LampElement,
     ShapeError,
     WeightedFunction,
     absorb_finite,
@@ -43,7 +45,7 @@ from amenability import (
     SubspaceMatroid,
     zero_subspace,
 )
-from amenability import folner
+from amenability import folner, groups
 from amenability.linalg import _gc_paused
 
 Z = integer_line()
@@ -106,6 +108,150 @@ def test_formal_combination_reduces_to_support():
     comb = FormalCombination(GF2, {("+1",): 1, ("-1",): 1})
     rep = set_report(range(5), [comb], Z)
     assert set(rep.per_generator) == {"+1", "-1"}
+
+
+# ---------------------------------------------------------------------------
+# lamplighter set reports on integer codes, with the point-by-point path as the oracle
+
+
+def _outcome(call):
+    """A call's result, or the type and message of the library error it raised."""
+    try:
+        return call()
+    except AmenabilityError as exc:
+        return type(exc), str(exc)
+
+
+def _point_by_point(F, S, action=L):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(folner, "_lamp_codes", lambda *args: None)
+        return _outcome(lambda: set_report(F, S, action))
+
+
+@pytest.fixture
+def moved(monkeypatch):
+    """The names of the actions whose points were moved one by one, call by call."""
+    calls = []
+    real = GroupAction._act_points
+
+    def counted(self, *args):
+        calls.append(self.name)
+        return real(self, *args)
+
+    monkeypatch.setattr(GroupAction, "_act_points", counted)
+    return calls
+
+
+def _shifted_box(n, c):
+    return [LampElement(tuple(k + c for k in lamps), t + c) for lamps, t in family_generate("lamp-box", n)]
+
+
+LAMP_ACTINGS = [
+    LAMP_GENS,
+    ["b", ("+1", "b"), ["b", "-1", "b", "+1"]],
+    [(), "+1"],
+    [FormalCombination(GF2, {("+1", "b"): 1, ("b",): 1}), ("-1", "-1")],
+    ("+1", "+1", "+1"),
+]
+
+
+@pytest.mark.parametrize("c", [-1_000, -3, 0, 10**12, 10**30])
+def test_coded_lamp_reports_match_the_point_by_point_path(c, moved):
+    rng = random.Random(c % 1_000_003)
+    for n in range(1, 7):
+        box = _shifted_box(n, c)
+        for S in LAMP_ACTINGS:
+            F = rng.sample(box, rng.randrange(1, len(box) + 1))
+            F += rng.choices(F, k=3)  # repeated points
+            F = [tuple(x) if rng.random() < 0.5 else x for x in F]  # plain tuples mixed in
+            for points in (F, tuple(F), set(F), frozenset(F)):
+                moved.clear()
+                report = set_report(points, S, L)
+                assert moved == []  # counted on codes
+                assert report == _point_by_point(points, S)
+                assert report.size == len(set(F))
+
+
+def test_coded_lamp_box_reports_match_the_point_by_point_path(moved):
+    box = family_generate("lamp-box", 9)
+    report = set_report(box, LAMP_GENS, L)
+    assert moved == []
+    assert report == _point_by_point(box, LAMP_GENS)
+    assert repr(report) == repr(_point_by_point(box, LAMP_GENS))
+
+
+@pytest.mark.parametrize(
+    "F, S, coded",
+    [
+        ([((0, 56), 28), ((), 1)], ["+1", "-1"], True),  # lamps 0..56: 57 positions
+        ([((0, 57), 28), ((), 1)], ["+1", "-1"], False),
+        ([((), 0)], [("+1",) * 28], True),  # the head widened by 28 each way: -28..28
+        ([((), 0), ((), 1)], [("+1",) * 28], False),
+        ([((-5, 49), -6)], ["-1", "b"], True),  # -6 - 1 .. 49
+        ([((-5, 50), -6)], ["-1", "b"], False),
+    ],
+)
+def test_a_code_window_holds_57_positions(F, S, coded, moved):
+    report = set_report(F, S, L)
+    assert moved == ([] if coded else ["lamplighter"])
+    assert report == _point_by_point(F, S)
+
+
+class _LampSet(frozenset):
+    """A frozenset subclass: not one of the collections the codes read."""
+
+
+BOX3 = family_generate("lamp-box", 3)
+
+# name -> (a maker of F, S, the error the point-by-point path raises or None)
+LAMP_FALLBACKS = {
+    "bool-head": (lambda: [((), True), ((1,), 2)], LAMP_GENS, None),
+    "bool-lamp": (lambda: [((True,), 0)], LAMP_GENS, None),
+    "list-lamps": (lambda: [([1], 2)], LAMP_GENS, ShapeError),
+    "unsorted-lamps": (lambda: [((2, 1), 0)], LAMP_GENS, DomainError),
+    "three-entries": (lambda: [((), 0, 1)], LAMP_GENS, DomainError),
+    "unknown-generator": (lambda: BOX3, ["+1", "zz"], DomainError),
+    "unhashable-point": (lambda: [[(), 0]], LAMP_GENS, ShapeError),
+    "unhashable-point-and-bad-S": (lambda: [[(), 0]], 5, ShapeError),
+    "bad-S": (lambda: BOX3, 5, ShapeError),
+    "empty-F": (lambda: [], LAMP_GENS, DegenerateInputError),
+    "generator-F": (lambda: (x for x in BOX3), LAMP_GENS, None),
+    "frozenset-subclass": (lambda: _LampSet(BOX3), LAMP_GENS, None),
+    "lamps-past-the-window": (lambda: [((0, 100), 0)], LAMP_GENS, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAMP_FALLBACKS))
+def test_lamp_inputs_the_codes_cannot_vouch_for_take_the_point_by_point_path(name):
+    make, S, error = LAMP_FALLBACKS[name]
+    try:
+        words = [w for _, w in folner._normalize_acting(S)]
+    except AmenabilityError:
+        words = None
+    assert words is None or groups._lamp_codes(make(), words, L) is None
+    got = _outcome(lambda: set_report(make(), S, L))
+    assert got == _point_by_point(make(), S)
+    if error is None:
+        assert isinstance(got, folner.FolnerReport)
+    else:
+        assert got[0] is error
+
+
+def test_an_action_with_lamp_points_but_other_moves_is_moved_point_by_point(moved):
+    moves = {**L.moves, "b": lambda x: groups._lamp_toggle(x)}
+    own = GroupAction("own", moves=moves, inverses=L.inverses, validate=L.validate)
+    box = family_generate("lamp-box", 4)
+    assert set_report(box, ["+1"], own).per_generator == set_report(box, ["+1"], L).per_generator
+    assert moved == []  # "+1" is still the lamp move
+    assert set_report(box, LAMP_GENS, own).union_size == set_report(box, LAMP_GENS, L).union_size
+    assert moved == ["own"]
+
+
+def test_sorted_distinct_is_np_unique():
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 2, 50, 1000):
+        a = rng.integers(-40, 40, size)
+        assert np.array_equal(groups._sorted_distinct(a), np.unique(a))
 
 
 # ---------------------------------------------------------------------------

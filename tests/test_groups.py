@@ -2,12 +2,14 @@ import dataclasses
 import json
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from amenability import (
     GF2,
+    RATIONALS,
     CapacityError,
     DomainError,
     InvalidFieldError,
@@ -27,6 +29,7 @@ from amenability import (
     lamplighter,
     parse_group,
     permutation_action_from_json,
+    subspace_from_rows,
 )
 from amenability.groups import _lamp_valid
 
@@ -405,6 +408,32 @@ def test_z_families():
     assert sp.labels == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 2_147_483_647])
+@pytest.mark.parametrize("kind", ["z-interval-span", "lamp-span"])
+def test_family_span_bases_are_their_read_only_rows(kind, p):
+    # the 0/1 rows are residues for every p: stored as built, with no reduced copy
+    for n in range(1, 6):
+        sp = family_generate(kind, n, gf(p))
+        rows = np.eye(n, dtype=np.int64)
+        if kind == "lamp-span":
+            rows = np.tile(rows, 1 << n)
+        assert sp == subspace_from_rows(rows, sp.labels, gf(p))  # the canonical span of the rows
+        assert np.array_equal(sp.basis, rows)
+        assert sp.basis.dtype == np.int64 and sp.basis.flags.c_contiguous
+        assert not sp.basis.flags.writeable
+        with pytest.raises(ValueError):
+            sp.basis[0, 0] = 0
+
+
+
+@pytest.mark.parametrize("kind", ["z-interval-span", "lamp-span"])
+def test_family_span_bases_over_q_are_fraction_rows(kind):
+    for n in range(1, 5):
+        sp = family_generate(kind, n, RATIONALS)
+        assert sp == subspace_from_rows(sp.basis_rows(), sp.labels, RATIONALS)
+        assert type(sp.basis) is tuple and all(type(x) is Fraction for row in sp.basis for x in row)
+
+
 class _NoShift(int):
     """An integer that may be compared but not shifted by."""
 
@@ -546,6 +575,14 @@ def test_an_unhashable_point_is_not_a_point_of_a_finite_action():
     action = finite_action("f", [0, 1], {"r": [1, 0]})
     with pytest.raises(DomainError, match=r"\[0\] is not a point of the f action"):
         action.act_word([0], "r")
+
+
+@pytest.mark.parametrize("spec", [5, None, b"Z", ["Z"]])
+def test_parse_group_refuses_a_spec_that_is_not_a_string(spec):
+    # parse_group(5) once raised a raw AttributeError from int.startswith
+    with pytest.raises(ShapeError) as err:
+        parse_group(spec)
+    assert str(err.value) == f"group spec must be a string, not {spec!r}"
 
 
 def test_parse_group_specs():

@@ -269,6 +269,20 @@ def test_counts_of_the_profile_functions_must_be_integers():
         naive_iso_set(Z, range(17), ["+1"], 2.5)
 
 
+def test_naive_oracle_caps_v_max_as_the_exact_search_does():
+    # v_max = 10**30 once ran its row loop 10**30 times
+    assert _rows(naive_iso_set(Z, range(4), ["+1"], 12)) == _rows(iso_set_exact(Z, range(4), ["+1"], 12))
+    for v_max in (13, 10**30, 0, -1):
+        for search in (naive_iso_set, iso_set_exact):
+            with pytest.raises(CapacityError) as err:
+                search(Z, range(4), ["+1"], v_max)
+            assert str(err.value) == "v_max must be between 1 and 12"
+            with pytest.raises(CapacityError):  # v_max is read before the acting elements
+                search(Z, range(4), 5, v_max)
+    with pytest.raises(CapacityError, match="capped at 16 window points"):  # the window first
+        naive_iso_set(Z, range(17), ["+1"], 10**30)
+
+
 def test_phi_lamp_span_is_linear(span_table):
     for n in range(1, 7):
         assert phi_from_table(span_table, n) == 2 * n
