@@ -27,7 +27,7 @@ from .errors import (
     InternalInvariantError,
     ShapeError,
 )
-from .groups import GroupAction, _lamp_codes, _sorted_distinct
+from .groups import GroupAction, _lamp_codes
 from .linalg import (
     FieldSpec,
     FormalCombination,
@@ -37,6 +37,7 @@ from .linalg import (
     _label_images,
     _label_set,
     _rref,
+    _sorted_distinct,
     _sorted_labels,
     _stacked,
     _word,

@@ -14,14 +14,26 @@ import numbers
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, product, repeat
-from operator import sub
+from itertools import product
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, InvalidFieldError, ShapeError
-from .linalg import FieldSpec, _decode_label, _gc_paused, _reduced_subspace, _require_int, _word
+from .linalg import (
+    _LAMP_FRAME,
+    FieldSpec,
+    _decode_label,
+    _gc_paused,
+    _lamp_masks,
+    _lamp_parts,
+    _lamp_word,
+    _order_keys,
+    _reduced_subspace,
+    _require_int,
+    _sorted_distinct,
+    _word,
+)
 
 Point = Any
 
@@ -99,6 +111,12 @@ class GroupAction:
             raise DomainError(f"{point!r} is not a point of the {self.name} action")
         return point
 
+    def _check_points(self, points) -> None:
+        """``check_point`` on every point: one pass while they pass, the first invalid one raises."""
+        if not all(map(self.validate, points)):
+            for x in points:
+                self.check_point(x)
+
     def act_word(self, point: Point, word) -> Point:
         """The image of ``point`` under a word (a generator name or a sequence of them)."""
         return next(self.act_points((point,), (word,)))[0]
@@ -133,9 +151,7 @@ class GroupAction:
                     self.check_point(points[0])
                 moves.append(self._move(g))
             if moves and not checked:
-                if not all(map(self.validate, points)):
-                    for x in points:
-                        self.check_point(x)  # raises at the first invalid point
+                self._check_points(points)
                 checked = True
             images = points
             for move in moves:
@@ -232,19 +248,26 @@ def lamplighter() -> GroupAction:
     )
 
 
-# A lamplighter code packs a point (lamps, head) of a window of w positions
-# lo..lo+w-1 into one int64, mask * w + (head - lo), where bit i of mask is
-# the lamp at lo + i.  The largest code, 2^w * w - 1, fits for w <= 57.
-_LAMP_CODE_WINDOW = 57
-_LAMP_MOVES = (_lamp_forward, _lamp_back, _lamp_toggle)
+_LAMP_STEPS = {_lamp_forward: 1, _lamp_back: -1, _lamp_toggle: 0}
 
 
-def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of an int64 array, sorted (``np.unique`` without its hashing)."""
-    codes = np.sort(codes)
-    if len(codes) > 1:
-        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-    return codes
+def _lamp_steps(action: GroupAction, word) -> list | None:
+    """A word's letters as lamp steps (+1 / -1 head moves, 0 the toggle), for ``linalg._lamp_word``.
+
+    None unless ``action`` validates by ``_lamp_valid`` and moves each
+    letter by one of the lamp moves.  ``word`` is a tuple of names.
+    """
+    if getattr(action, "validate", None) is not _lamp_valid:
+        return None
+    try:
+        return [_LAMP_STEPS[action.moves.get(g)] for g in word]
+    except (KeyError, TypeError):  # not a lamp move, or no such letter
+        return None
+
+
+# The widest window: as for the order keys' frame, the largest code,
+# 2^w * w - 1, fits int64 for w <= 57.
+_LAMP_CODE_WINDOW = len(_LAMP_FRAME)
 
 
 def _lamp_codes(points, words, action: GroupAction):
@@ -252,63 +275,37 @@ def _lamp_codes(points, words, action: GroupAction):
 
     Returns the sorted, distinct codes of ``points`` and, per word, the
     sorted codes of the points' images (distinct, as a word moves points
-    injectively).  Returns None, and never raises, unless every input is
-    vouched for: ``action`` validates by ``_lamp_valid`` and moves each
-    letter of the words by one of the lamp moves; ``points`` is a
-    non-empty tuple, list, set or frozenset of tuples or ``LampElement``s
-    (lamps, head) with an ``int`` head and a tuple of increasing ``int``
-    lamps (each distinct lamp tuple is checked once); and all of them,
-    with the heads widened by the longest word each way, fit in a window
-    of ``_LAMP_CODE_WINDOW`` positions.  The caller's generic path then
-    serves, and raises, any other input.
+    injectively).  A code is ``mask * w + (head - lo)`` for the masks of
+    ``linalg._lamp_masks`` in a window of w positions from lo.  Returns
+    None, and never raises, unless every input is vouched for: ``action``
+    validates by ``_lamp_valid`` and moves each letter of the words by one
+    of the lamp moves; ``points`` is a non-empty tuple, list, set or
+    frozenset of labels that ``linalg._lamp_parts`` accepts, with
+    increasing lamps; and all of them, with the heads widened by the
+    longest word each way, fit in a window of ``_LAMP_CODE_WINDOW``
+    positions.  The caller's generic path then serves, and raises, any
+    other input.
     """
-    if getattr(action, "validate", None) is not _lamp_valid:
+    steps = [_lamp_steps(action, word) for word in words]
+    if None in steps or type(points) not in (tuple, list, set, frozenset):
         return None
-    if type(points) not in (tuple, list, set, frozenset) or not points:
+    parts = _lamp_parts(points if type(points) in (tuple, list) else list(points))
+    if parts is None:
         return None
-    steps = [[action.moves.get(g) for g in word] for word in words]
-    if not all(move in _LAMP_MOVES for step in steps for move in step):
-        return None
-    if not {tuple, LampElement}.issuperset(map(type, points)) or set(map(len, points)) != {2}:
-        return None
-    lamp_sets, heads = zip(*points)
-    ids = np.fromiter(map(id, lamp_sets), np.uint64, len(lamp_sets))
-    _, first, where = np.unique(ids, return_index=True, return_inverse=True)  # sorts: no hashing
-    distinct = [lamp_sets[i] for i in first.tolist()]  # each lamp tuple object once
-    if set(map(type, distinct)) != {tuple}:
-        return None
-    lamps = list(chain.from_iterable(distinct))
-    if not {int}.issuperset(map(type, chain(lamps, heads))):
-        return None
+    _, _, lamps, heads = parts
     reach = max(map(len, words), default=0)
     lo, hi = min(heads) - reach, max(heads) + reach
     if lamps:
         lo, hi = min(lo, min(lamps)), max(hi, max(lamps))
     w = hi - lo + 1
-    if w > _LAMP_CODE_WINDOW:
+    coded = w <= _LAMP_CODE_WINDOW and _lamp_masks(parts, lo, w)
+    if not coded:
         return None
-
-    sizes = np.fromiter(map(len, distinct), np.int64, len(distinct))
-    bits = np.fromiter(map(sub, lamps, repeat(lo)), np.int64, len(lamps))
-    rising = np.ones(len(bits), dtype=bool)  # each lamp above the one before it in its tuple
-    rising[1:] = bits[1:] > bits[:-1]
-    rising[(np.cumsum(sizes) - sizes)[sizes > 0]] = True
-    if not rising.all():
-        return None
-    masks = np.zeros(len(sizes), dtype=np.int64)
-    np.add.at(masks, np.repeat(np.arange(len(sizes)), sizes), 1 << bits)  # distinct bits: + is |
-    offsets = np.fromiter(map(sub, heads, repeat(lo)), np.int64, len(heads))
-    codes = _sorted_distinct(masks[where] * w + offsets)
-
+    codes = _sorted_distinct(coded[0] * w + coded[1])
     masks, offsets = np.divmod(codes, w)
     images = []
     for step in steps:
-        m, o = masks, offsets
-        for move in step:
-            if move is _lamp_toggle:
-                m = m ^ (1 << o)
-            else:
-                o = o + 1 if move is _lamp_forward else o - 1
+        m, o = _lamp_word(masks, offsets, step, w)
         images.append(np.sort(m * w + o))
     return codes, images
 
@@ -492,6 +489,15 @@ def _lamp_box_points(n: int) -> list:
     return [_new(LampElement, pair) for pair in product(sets, range(1, n + 1))]
 
 
+def _lamp_box_keys(n: int):
+    """``linalg._lamp_keys`` of ``_lamp_box_points(n)``, built as the points are, with no pass over them."""
+    w, lo = len(_LAMP_FRAME), _LAMP_FRAME.start
+    masks = np.zeros(1, dtype=np.int64)
+    for k in range(n, 0, -1):
+        masks = np.concatenate(([0], masks | 1 << (w - 1 - (k - lo)), masks[1:]))
+    return _order_keys(np.repeat(masks, n), np.tile(np.arange(1 - lo, n + 1 - lo), 1 << n))
+
+
 @_gc_paused
 def family_generate(kind: str, n: int, field: FieldSpec = None):
     """The box/interval set families and their module (span) analogues.
@@ -527,4 +533,4 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
 
     # head t sits at columns t - 1, t - 1 + n, ...: the rows are I_n tiled
     rows = np.tile(np.eye(n, dtype=np.int64), 1 << n)
-    return _reduced_subspace(rows, tuple(points), field, _lamp_valid)
+    return _reduced_subspace(rows, tuple(points), field, _lamp_valid, _lamp_box_keys(n))

@@ -27,7 +27,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -187,7 +187,10 @@ def _to_array(rows, field: FieldSpec, width: int = 0) -> np.ndarray:
     count of an empty list of rows.
     """
     if not isinstance(rows, np.ndarray):
-        rows = list(rows)
+        try:
+            rows = list(rows)
+        except TypeError as exc:
+            raise ShapeError(f"rows must be an iterable of rows, not {rows!r}") from exc
         if not rows:
             rows = np.zeros((0, width), dtype=np.int64)
     try:
@@ -303,6 +306,12 @@ class LabeledSubspace:
     column j belonging to ``labels[j]``: an immutable int64 residue
     array over GF(p), a tuple of Fraction tuples over Q.  Two subspaces
     over the same labels are equal iff their stored bases are identical.
+
+    Lamplighter labels whose positions all lie in ``_LAMP_FRAME`` may
+    carry their order keys (see ``_lamp_keys``), so that sorts, relabels
+    and label unions of lamp spans run on int64 arrays.  Any other
+    subspace, and a ``dataclasses.replace`` copy, carries none and is
+    sorted and merged tuple by tuple, with the same result.
     """
 
     field: FieldSpec
@@ -313,6 +322,9 @@ class LabeledSubspace:
     # ``family_generate`` only; not a field, so ``replace``, equality and
     # repr ignore it, while pickles and copies keep it (by reference).
     _checked_by = None
+    # None, or ``_lamp_keys(labels)``, the labels' order keys.  Not a
+    # field either, for the same reasons.
+    _keys = None
 
     @property
     def dim(self) -> int:
@@ -416,6 +428,165 @@ def _sorted_labels(labels, key=None) -> list:
         raise ShapeError("labels must be mutually comparable") from exc
 
 
+def _label_list(labels) -> list:
+    try:
+        return list(labels)
+    except TypeError as exc:
+        raise ShapeError(f"labels must be an iterable of points, not {labels!r}") from exc
+
+
+def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, sorted (``np.unique`` without its hashing)."""
+    codes = np.sort(codes)
+    if len(codes) > 1:
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    return codes
+
+
+# ---------------------------------------------------------------------------
+# lamplighter order keys
+#
+# A lamplighter label (lamps, head) whose positions all lie in the frame
+# lo..lo+w-1 gets the int64 order key rank(lamps) * w + (head - lo), where
+# rank is the lexicographic rank of the sorted lamp tuple among all those
+# of the frame.  Keys are strictly increasing in Python's tuple order, and
+# the frame is fixed, so the keys of a span, its translates and its sums
+# compare with no re-encoding.  Lamp position lo + j is bit w-1-j of the
+# label's mask, so the toggle under the head is one XOR and the rank a few
+# array passes (``_order_keys``).  The largest key, 2^w * w - 1, fits int64
+# for w <= 57.
+_LAMP_FRAME = range(-28, 29)
+
+
+def _lamp_parts(labels):
+    """The lamp tuples and heads of lamplighter labels, or None.
+
+    ``labels`` is a list or tuple.  Returns ``(distinct, where, lamps,
+    heads)``: each distinct lamp tuple object once, the index into
+    ``distinct`` of each label's lamps, the distinct tuples' lamps in one
+    list, and the heads.  Returns None, never raising, unless every label
+    is a pair, a plain tuple or a ``LampElement``, of a tuple of lamps and
+    a head, all exact ints (a bool is refused).  A first label that is not
+    such a pair costs a few tests and no pass.  ``_lamp_masks`` checks
+    that the lamps increase.
+    """
+    from .groups import LampElement  # groups imports this module
+
+    types = {tuple, LampElement}
+    x = labels[0] if labels else None
+    if type(x) not in types or len(x) != 2 or type(x[0]) is not tuple:
+        return None
+    if not types.issuperset(map(type, labels)) or not {2}.issuperset(map(len, labels)):
+        return None
+    lamp_sets, heads = zip(*labels)
+    ids = np.fromiter(map(id, lamp_sets), np.uint64, len(lamp_sets))
+    _, first, where = np.unique(ids, return_index=True, return_inverse=True)  # sorts: no hashing
+    distinct = [lamp_sets[i] for i in first.tolist()]  # each lamp tuple object once
+    if set(map(type, distinct)) != {tuple}:
+        return None
+    lamps = list(chain.from_iterable(distinct))
+    if not {int}.issuperset(map(type, chain(lamps, heads))):
+        return None
+    return distinct, where, lamps, heads
+
+
+def _lamp_masks(parts, lo: int, w: int):
+    """The masks and head offsets of ``_lamp_parts`` in the frame lo..lo+w-1, or None.
+
+    The caller has checked that every position lies in the frame.  Bit
+    w-1-j of a mask is the lamp at lo + j; None unless each label's lamps
+    strictly increase.
+    """
+    distinct, where, lamps, heads = parts
+    sizes = np.fromiter(map(len, distinct), np.int64, len(distinct))
+    bits = np.fromiter(map(operator.sub, lamps, repeat(lo)), np.int64, len(lamps))
+    rising = np.ones(len(bits), dtype=bool)  # each lamp above the one before it in its tuple
+    rising[1:] = bits[1:] > bits[:-1]
+    rising[(np.cumsum(sizes) - sizes)[sizes > 0]] = True
+    if not rising.all():
+        return None
+    masks = np.zeros(len(sizes), dtype=np.int64)
+    np.add.at(masks, np.repeat(np.arange(len(sizes)), sizes), 1 << (w - 1 - bits))  # distinct bits: + is |
+    return masks[where], np.fromiter(map(operator.sub, heads, repeat(lo)), np.int64, len(heads))
+
+
+def _order_keys(masks: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The order keys of ``_LAMP_FRAME`` masks and head offsets.
+
+    rank(S) = |S| + sum of 2^(w-1-j) over the positions j < max S not in
+    S, and rank(()) = 0; those positions are the bits above the mask's
+    lowest set bit that the mask does not hold.
+    """
+    w = len(_LAMP_FRAME)
+    above = -((masks & -masks) << 1)  # every bit above the lowest set one; 0 for 0
+    rank = np.bitwise_count(masks) + (~masks & above & ((1 << w) - 1))
+    return rank * w + offsets
+
+
+def _lamp_keys(labels):
+    """The order keys of lamplighter labels as an int64 array in label order, or None.
+
+    Keys are given when every label passes ``_lamp_parts``, its lamps
+    strictly increase and every position lies in ``_LAMP_FRAME``.  Any
+    other labels give None, with no pass over them unless the first is a
+    lamplighter pair, and are sorted and merged as tuples.
+    """
+    parts = _lamp_parts(labels)
+    if parts is None:
+        return None
+    _, _, lamps, heads = parts
+    lo, hi = min(heads), max(heads)
+    if lamps:
+        lo, hi = min(lo, min(lamps)), max(hi, max(lamps))
+    if lo < _LAMP_FRAME.start or hi >= _LAMP_FRAME.stop:
+        return None
+    coded = _lamp_masks(parts, _LAMP_FRAME.start, len(_LAMP_FRAME))
+    return None if coded is None else _order_keys(*coded)
+
+
+def _key_masks(keys: np.ndarray) -> np.ndarray:
+    """The lamp masks of sorted order keys: ``_order_keys`` undone, one frame position at a time.
+
+    Sorted keys hold each rank in one run, so each distinct rank is
+    undone once.  A rank r > 0 over the positions from j on holds j iff
+    r <= 2^(w-1-j), the count of the sets that begin with j; it then goes
+    on with r - 1, and otherwise with r - 2^(w-1-j).
+    """
+    w = len(_LAMP_FRAME)
+    ranks = keys // w
+    new = np.concatenate(([True], ranks[1:] != ranks[:-1]))
+    r = ranks[new]
+    masks = np.zeros_like(r)
+    for j in range(w):
+        size = 1 << (w - 1 - j)  # also the bit of position j
+        take = (r > 0) & (r <= size)
+        masks[take] |= size
+        r = np.where(take, r - 1, np.where(r > size, r - size, 0))
+    return masks[np.cumsum(new) - 1]
+
+
+def _lamp_word(masks: np.ndarray, offsets: np.ndarray, steps, w: int):
+    """Masks and head offsets moved by a word's lamp steps, or None if a head leaves 0..w-1.
+
+    A step is +1 or -1 for a head move and 0 for the toggle under the
+    head; ``masks`` is not read unless the word toggles.
+    """
+    shifts = list(accumulate(steps, initial=0))  # of the heads, before each step and after the last
+    if offsets.min() + min(shifts) < 0 or offsets.max() + max(shifts) >= w:
+        return None
+    for step, shift in zip(steps, shifts):
+        if not step:
+            masks = masks ^ (1 << (w - 1 - (offsets + shift)))
+    return masks, offsets + shifts[-1]
+
+
+def _keyed(space: LabeledSubspace, keys) -> LabeledSubspace:
+    """``space`` carrying ``keys``, which are ``_lamp_keys(space.labels)`` or None."""
+    if keys is not None:
+        object.__setattr__(space, "_keys", keys)
+    return space
+
+
 @_gc_paused
 def subspace_from_rows(rows, labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
     """Span of the given row vectors, canonicalized.
@@ -423,23 +594,37 @@ def subspace_from_rows(rows, labels: Sequence[Label], field: FieldSpec) -> Label
     Labels are sorted into their total order (columns permuted to match),
     the rows are row-reduced, and zero rows are dropped.
     """
-    labels = list(labels)
-    if len(_label_set(labels)) != len(labels):
+    labels = _label_list(labels)
+    keys = _lamp_keys(labels)
+    if keys is None and len(_label_set(labels)) != len(labels):
         raise ShapeError("labels must be pairwise distinct")
-    return _from_distinct(rows, labels, field)
+    return _from_distinct(rows, labels, field, keys)
 
 
-def _from_distinct(rows, labels: list, field: FieldSpec) -> LabeledSubspace:
-    """``subspace_from_rows`` for labels known to be pairwise distinct."""
+def _from_distinct(rows, labels: Sequence, field: FieldSpec, keys) -> LabeledSubspace:
+    """``subspace_from_rows`` for labels known to be pairwise distinct, or with ``keys``.
+
+    Labels with order keys (``_lamp_keys(labels)``) are sorted by them,
+    and checked to be distinct here; any others by comparing them.
+    """
     n = len(labels)
-    order = _sorted_labels(range(n), key=labels.__getitem__)
-    sorted_labels = tuple(labels[j] for j in order)
+    if keys is None:
+        order = _sorted_labels(range(n), key=labels.__getitem__)
+        moved = order != list(range(n))
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise ShapeError("labels must be pairwise distinct")
+        moved = (order[1:] < order[:-1]).any()
+        order = order.tolist()
+    sorted_labels = tuple(map(labels.__getitem__, order))
     a = _to_array(rows, field, n)
     if a.shape[1] != n:
         raise ShapeError(f"row length {a.shape[1]} does not match label count {n}")
-    if order != list(range(n)):
+    if moved:
         a = a.take(order, axis=1)  # C-contiguous, which row operations want
-    return _canonical(a, sorted_labels, field)
+    return _keyed(_canonical(a, sorted_labels, field), keys)
 
 
 def _canonical(a: np.ndarray, labels: tuple, field: FieldSpec) -> LabeledSubspace:
@@ -448,16 +633,17 @@ def _canonical(a: np.ndarray, labels: tuple, field: FieldSpec) -> LabeledSubspac
     return LabeledSubspace(field, labels, _to_basis(reduced, field))
 
 
-def _reduced_subspace(rows: np.ndarray, labels: tuple, field: FieldSpec, checked_by) -> LabeledSubspace:
+def _reduced_subspace(rows: np.ndarray, labels: tuple, field: FieldSpec, checked_by, keys=None) -> LabeledSubspace:
     """0/1 int64 rows already in RREF over sorted labels, marked as accepted by ``checked_by``.
 
     Over GF(p) the rows are residues already and become the basis itself
-    (made read-only), with no reduced copy.
+    (made read-only), with no reduced copy.  ``keys`` are the labels'
+    ``_lamp_keys``, if they have them.
     """
     a = _to_array(rows, field) if field.is_rational else rows
     space = LabeledSubspace(field, labels, _to_basis(a, field))
     object.__setattr__(space, "_checked_by", checked_by)
-    return space
+    return _keyed(space, keys)
 
 
 def zero_subspace(labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
@@ -467,14 +653,25 @@ def zero_subspace(labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
 def _merge_labels(E: LabeledSubspace, F: LabeledSubspace):
     """Sorted union of the labels of two subspaces over one field, in one linear pass.
 
-    Returns ``(union, pos_a, pos_b)``: ``pos_a[j]`` is the column of
-    ``E.labels[j]`` in the union, likewise for F; equal labels give slices.
+    Returns ``(union, pos_a, pos_b, keys)``: ``pos_a[j]`` is the column of
+    ``E.labels[j]`` in the union, likewise for F; equal labels give
+    slices.  When both sides carry order keys the union is taken on them
+    and ``keys`` are the union's; otherwise the labels are walked tuple
+    by tuple and ``keys`` is None.  Where E and F hold equal labels, the
+    union holds E's object either way.
     """
     if E.field != F.field:
         raise FieldMismatchError(f"cannot combine {E.field} with {F.field}")
     a, b = E.labels, F.labels
     if a == b:
-        return a, slice(None), slice(None)
+        return a, slice(None), slice(None), E._keys
+    if E._keys is not None and F._keys is not None:
+        keys = _sorted_distinct(np.concatenate((E._keys, F._keys)))
+        pos_a, pos_b = np.searchsorted(keys, E._keys), np.searchsorted(keys, F._keys)
+        union = np.empty(len(keys), dtype=object)
+        union[pos_b] = np.fromiter(b, object, len(b))
+        union[pos_a] = np.fromiter(a, object, len(a))  # a's object wins
+        return tuple(union.tolist()), pos_a, pos_b, keys
     union = []
     pos_a = []
     pos_b = []
@@ -505,7 +702,7 @@ def _merge_labels(E: LabeledSubspace, F: LabeledSubspace):
     for y in b[j:]:
         pos_b.append(len(union))
         union.append(y)
-    return tuple(union), pos_a, pos_b
+    return tuple(union), pos_a, pos_b, None
 
 
 def _stacked(width: int, *parts) -> np.ndarray:
@@ -525,20 +722,21 @@ def _stacked(width: int, *parts) -> np.ndarray:
 
 def align_pair(E: LabeledSubspace, F: LabeledSubspace):
     """Rewrite two subspaces over the sorted union of their labels."""
-    union, pos_e, pos_f = _merge_labels(E, F)
+    union, pos_e, pos_f, keys = _merge_labels(E, F)
 
     def rebuild(sp, cols):
         if len(sp.labels) == len(union):
             return sp
-        return LabeledSubspace(sp.field, union, _to_basis(_stacked(len(union), (sp, cols)), sp.field))
+        basis = _to_basis(_stacked(len(union), (sp, cols)), sp.field)
+        return _keyed(LabeledSubspace(sp.field, union, basis), keys)
 
     return rebuild(E, pos_e), rebuild(F, pos_f)
 
 
 def subspace_sum(E: LabeledSubspace, F: LabeledSubspace) -> LabeledSubspace:
     """Span of E and F together; labels are unioned and vectors zero-padded."""
-    union, pos_e, pos_f = _merge_labels(E, F)
-    return _canonical(_stacked(len(union), (E, pos_e), (F, pos_f)), union, E.field)
+    union, pos_e, pos_f, keys = _merge_labels(E, F)
+    return _keyed(_canonical(_stacked(len(union), (E, pos_e), (F, pos_f)), union, E.field), keys)
 
 
 def quotient_dim(F: LabeledSubspace, G: LabeledSubspace) -> int:
@@ -628,9 +826,14 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
     that keeps the labels' order (a shift of a lamp, interval or Z^d
     span) reuses F's basis with no sort and no RREF; one that maps F's
     labels onto themselves (F.b for a lamp span) keeps ``F.labels`` and
-    row-reduces once, with no sort (see ``_relabel``).
+    row-reduces once, with no sort (see ``_relabel``).  For a lamp span
+    with order keys, a word of lamplighter moves runs on the keys (see
+    ``_lamp_relabel``).
     """
     if not isinstance(r, FormalCombination):
+        keyed = F._keys is not None and _lamp_relabel(F, action, r)
+        if keyed:
+            return keyed
         (images,) = _label_images(F, action, (r,))
         return _relabel(F, images)
     if r.field != F.field:
@@ -663,10 +866,57 @@ def _relabel(F: LabeledSubspace, images: list) -> LabeledSubspace:
     try:
         cols = _injective(list(map(F.label_index().__getitem__, images)))
     except KeyError:  # an image leaves F's labels
-        return _from_distinct(F.basis, _injective(images), F.field)
+        images = _injective(images)
+        return _from_distinct(F.basis, images, F.field, _lamp_keys(images))
     # the images permute F's labels: label x keeps its column, and the
     # column of x takes the coordinate that x.g^-1 had.
     return _canonical(_stacked(len(cols), (F, cols)), F.labels, F.field)
+
+
+def _lamp_relabel(F: LabeledSubspace, action, r):
+    """``_relabel`` of F by a word of lamplighter moves, on F's order keys; None for any other.
+
+    Applies when ``action`` validates by ``groups._lamp_valid``, every
+    letter of ``r`` is one of the lamplighter's moves and the heads stay
+    in ``_LAMP_FRAME``.  The moves run on the keys and masks: a head move
+    is key arithmetic and a toggle an XOR.  A relabel that keeps the
+    order reuses F's basis, and if it moves only the heads its labels are
+    built with no Python frame per label; one onto F's labels takes
+    their columns from the keys with ``searchsorted``.  The result is the
+    tuple-by-tuple path's, label objects' types included, and so are its
+    errors: F's labels pass ``_lamp_valid``, and are checked as there
+    unless F is a family span.
+    """
+    from .groups import LampElement, _lamp_steps  # groups imports this module
+
+    word = _word(r)  # raises as the tuple-by-tuple path would
+    steps = _lamp_steps(action, word)
+    if steps is None:
+        return None
+    keys, w = F._keys, len(_LAMP_FRAME)
+    toggles = 0 in steps
+    offsets = keys % w
+    moved = _lamp_word(_key_masks(keys) if toggles else None, offsets, steps, w)
+    if moved is None:
+        return None
+    if steps and F._checked_by is not action.validate:
+        action._check_points(F.labels)
+    keys_r = _order_keys(*moved) if toggles else keys - offsets + moved[1]
+
+    def images() -> Sequence:
+        if toggles:
+            return next(action._act_points(F.labels, (word,), True))
+        heads = (moved[1] + _LAMP_FRAME.start).tolist()
+        return tuple(map(tuple.__new__, repeat(LampElement), zip(map(operator.itemgetter(0), F.labels), heads)))
+
+    if np.array_equal(keys_r, keys):  # every label fixed
+        return _keyed(LabeledSubspace(F.field, F.labels, F.basis), keys)
+    if (keys_r[1:] > keys_r[:-1]).all():
+        return _keyed(LabeledSubspace(F.field, tuple(images()), F.basis), keys_r)
+    cols = np.searchsorted(keys, keys_r)
+    if (keys[np.minimum(cols, len(keys) - 1)] == keys_r).all():  # a permutation of F's labels
+        return _keyed(_canonical(_stacked(len(cols), (F, cols)), F.labels, F.field), keys)
+    return _from_distinct(F.basis, images(), F.field, keys_r)
 
 
 # ---------------------------------------------------------------------------
@@ -710,4 +960,8 @@ def dump_subspace(space: LabeledSubspace) -> str:
 
 
 def load_subspace(text: str) -> LabeledSubspace:
-    return subspace_from_json(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ShapeError(f"malformed subspace document: {exc}") from exc
+    return subspace_from_json(obj)

@@ -229,6 +229,8 @@ def naive_iso_set(action: GroupAction, window: Iterable, S, v_max: int) -> Profi
     Exists as an oracle for testing the subset-table search; capped harder.
     """
     points = _sorted_labels(_label_set(window))
+    if not points:
+        raise DegenerateInputError("the window must contain at least one point")
     if len(points) > 16:
         raise CapacityError("the naive oracle is capped at 16 window points")
     _check_v_max(v_max)

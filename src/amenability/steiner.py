@@ -36,6 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
+    CapacityError,
     ContainmentError,
     DegenerateInputError,
     DomainError,
@@ -48,6 +49,10 @@ from .matroid import SubspaceMatroid
 CHUNK = 512  # samples per Philox stream; fixed, part of the algorithm
 
 _SEED_LIMIT = 2**64
+# The most directions one call samples: a hundred times the largest count
+# that the acceptance criteria, demos, CLI defaults and benchmark workloads
+# use (10,000).  Time grows linearly with the count.
+_SAMPLE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -225,6 +230,8 @@ def _require_samples(N) -> None:
 
 def _check_sampling_args(M: SubspaceMatroid, N) -> None:
     _require_samples(N)
+    if N > _SAMPLE_CAP:
+        raise CapacityError(f"sample count {N} exceeds the cap of {_SAMPLE_CAP}")
     if M.rank < 1:
         raise DegenerateInputError("the zero subspace has no Steiner point")
 

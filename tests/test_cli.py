@@ -47,6 +47,25 @@ def test_steiner_outputs_exact_l1(segment_file, capsys):
     assert len(doc["vector"]) == 3
 
 
+def test_steiner_sample_counts_above_the_cap_are_a_capacity_error(segment_file, capsys):
+    # --samples 10**30 once ran until killed
+    cap = amenability.steiner._SAMPLE_CAP
+    code, out = run_cli(capsys, "steiner", "--input", segment_file, "--samples", str(cap))
+    assert code == 0 and json.loads(out)["samples"] == cap
+    for N in (cap + 1, 10**30):
+        code, out = run_cli(capsys, "steiner", "--input", segment_file, "--samples", str(N))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "CapacityError",
+            "message": f"sample count {N} exceeds the cap of {cap}",
+        }
+        code, out = run_cli(
+            capsys, "folner", "--group", "Z", "--family", "z-interval-span",
+            "--n", "4", "--field", "0", "--samples", str(N),
+        )
+        assert code == 1 and json.loads(out)["error"]["type"] == "CapacityError"
+
+
 def test_steiner_angles_sum_to_one(segment_file, capsys):
     code, out = run_cli(capsys, "steiner", "--input", segment_file, "--samples", "256", "--angles")
     assert code == 0

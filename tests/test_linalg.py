@@ -283,6 +283,34 @@ def test_rref_ragged_rows_raise():
         rref([[1, 2], [1]], GF2)
 
 
+def test_rref_refuses_rows_that_are_not_iterable():
+    # "'int' object is not iterable" once escaped as a raw TypeError
+    for field in (GF2, RATIONALS):
+        with pytest.raises(ShapeError, match="rows must be an iterable of rows, not 5"):
+            rref(5, field)
+
+
+def test_subspace_from_rows_refuses_labels_or_rows_that_are_not_iterable():
+    with pytest.raises(ShapeError, match="labels must be an iterable of points, not 3"):
+        subspace_from_rows([[1, 0, 1]], 3, GF2)
+    with pytest.raises(ShapeError, match="rows must be an iterable of rows, not 7"):
+        subspace_from_rows(7, [0, 1], GF2)
+    with pytest.raises(ShapeError, match="labels must be an iterable"):  # labels are read first
+        subspace_from_rows(7, None, RATIONALS)
+
+
+def test_zero_subspace_refuses_labels_that_are_not_iterable():
+    with pytest.raises(ShapeError, match="labels must be an iterable of points, not 4"):
+        zero_subspace(4, GF2)
+
+
+def test_load_subspace_refuses_text_that_is_not_json():
+    # a raw JSONDecodeError (or TypeError) once escaped
+    for text in ("x", "", "{", b"\xff", 5, None):
+        with pytest.raises(ShapeError, match="malformed subspace document"):
+            load_subspace(text)
+
+
 def test_floats_are_rejected_never_truncated():
     with pytest.raises(ShapeError):
         rref([[1.5, 2.0]], GF2)

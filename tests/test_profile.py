@@ -7,6 +7,7 @@ import pytest
 from amenability import (
     GF2,
     CapacityError,
+    DegenerateInputError,
     DomainError,
     ShapeError,
     ball,
@@ -267,6 +268,17 @@ def test_counts_of_the_profile_functions_must_be_integers():
             naive_iso_set(Z, range(4), ["+1"], v_max)
     with pytest.raises(CapacityError):  # refused as before, ahead of the count
         naive_iso_set(Z, range(17), ["+1"], 2.5)
+
+
+def test_naive_oracle_refuses_an_empty_window_as_the_exact_search_does():
+    # the oracle once returned an empty table where the search raised
+    for v_max in (3, 2.5):  # the window is refused ahead of the count
+        outcomes = []
+        for search in (naive_iso_set, iso_set_exact):
+            with pytest.raises(DegenerateInputError) as info:
+                search(Z, [], ["+1"], v_max)
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes[0] == outcomes[1] == (DegenerateInputError, "the window must contain at least one point")
 
 
 def test_naive_oracle_caps_v_max_as_the_exact_search_does():

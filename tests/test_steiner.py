@@ -8,6 +8,7 @@ import pytest
 from amenability import (
     GF2,
     RATIONALS,
+    CapacityError,
     ContainmentError,
     DegenerateInputError,
     DirectionSampler,
@@ -23,6 +24,7 @@ from amenability import (
     minkowski_combination_check,
     subspace_from_rows,
 )
+from amenability import steiner
 from test_matroid import random_nested_pair
 
 
@@ -122,6 +124,26 @@ def test_sample_count_must_be_an_integer(bad):
         coupled_nested_estimate(DIAG2, FULL2, bad, 1)
     with pytest.raises(ShapeError, match="sample count"):
         minkowski_combination_check(DIAG2, FULL2, Fraction(1, 2), bad, 1)
+
+
+def test_sample_counts_above_the_cap_are_a_capacity_error():
+    # 10**30 once ran until killed
+    cap = steiner._SAMPLE_CAP
+    assert cap >= 10_000  # above every count the criteria, demos, CLI defaults and workloads use
+    at_cap = estimate_steiner(DIAG2, cap, 1)
+    assert at_cap.samples == cap and sum(at_cap.per_vertex_hits.values()) == cap
+    for N in (cap + 1, 10**30):
+        message = f"sample count {N} exceeds the cap of {cap}"
+        with pytest.raises(CapacityError, match=message):
+            estimate_steiner(DIAG2, N, 1)
+        with pytest.raises(CapacityError, match=message):
+            exterior_angles(DIAG2, N, 1)
+        with pytest.raises(CapacityError, match=message):
+            coupled_nested_estimate(DIAG2, FULL2, N, 1)
+        with pytest.raises(CapacityError, match=message):
+            minkowski_combination_check(DIAG2, FULL2, Fraction(1, 2), N, 1)
+    with pytest.raises(ShapeError, match="sample count"):  # the type is checked first
+        estimate_steiner(DIAG2, float(10**30), 1)
 
 
 def test_numpy_integers_are_sample_counts_and_seeds():
