@@ -21,12 +21,15 @@ labels.  Greedy reads only the start of an order, so on long rows the
 driver sorts a prefix of each row (``argpartition``, then the prefix by
 value and index) and sorts a row whole only when its prefix ends in a
 tie or leaves a kernel without a basis; the orders greedy reads are
-always the stable sort's.
+always the stable sort's.  Long rows are drawn and sorted a row block
+at a time, and a chunk larger than a block gets its own memory map, so
+peak memory does not swing with the seed.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,6 +52,10 @@ from .matroid import SubspaceMatroid
 CHUNK = 512  # samples per Philox stream; fixed, part of the algorithm
 
 _SEED_LIMIT = 2**64
+# Entries of the largest temporary that drawing, normalising and prefix
+# sorting a chunk make (1 MiB of float64): long rows are handled a few
+# hundred at a time.
+_BLOCK_ENTRIES = 1 << 17
 # The most directions one call samples: a hundred times the largest count
 # that the acceptance criteria, demos, CLI defaults and benchmark workloads
 # use (10,000).  Time grows linearly with the count.
@@ -78,8 +85,13 @@ class DirectionSampler:
     def chunk(self, c: int) -> np.ndarray:
         key = np.array([self.seed, c], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        raw = gen.standard_normal((CHUNK, self.dimension))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        raw = _chunk_buffer(CHUNK, self.dimension)
+        # drawn and scaled in row blocks, in place: the stream and every
+        # row's norm are those of one (CHUNK, dimension) draw
+        for rows in _row_blocks(CHUNK, self.dimension):
+            part = raw[rows]
+            gen.standard_normal(out=part)
+            part /= np.linalg.norm(part, axis=1, keepdims=True)
         return raw
 
     def directions(self, start: int, stop: int) -> np.ndarray:
@@ -130,6 +142,31 @@ class SteinerEstimate:
         return self.vector[self.labels.index(label)]
 
 
+def _chunk_buffer(rows: int, width: int) -> np.ndarray:
+    """An uninitialised (rows, width) float64 array for one chunk of directions.
+
+    A chunk larger than one row block gets its own anonymous memory map,
+    which goes back to the system as soon as the array is dropped.  From
+    malloc, chunks of a few MiB land in the heap once one such block has
+    been freed, and how much of the heap then stays resident depends on
+    what was allocated around them, so peak memory would differ from one
+    sampling seed to the next.
+    """
+    if rows * width <= _BLOCK_ENTRIES:
+        return np.empty((rows, width))
+    # every entry is written next, so the pages are mapped in at once
+    # rather than one fault at a time
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+    buffer = mmap.mmap(-1, rows * width * 8, flags=flags)
+    return np.frombuffer(buffer, dtype=np.float64).reshape(rows, width)
+
+
+def _row_blocks(count: int, width: int) -> list:
+    """Slices cutting ``count`` rows of ``width`` entries into blocks of at most ``_BLOCK_ENTRIES``."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 def _stable_prefix(block: np.ndarray, k: int):
     """The first k entries of each row's stable argsort, and the rows they may miss.
 
@@ -139,16 +176,21 @@ def _stable_prefix(block: np.ndarray, k: int):
     stable sort's prefix unless the largest of them equals the value at
     position k.  Then the tie may have kept a larger index than the
     stable sort keeps, so those rows, ``ties``, need the full sort.
-    Rows of at most k entries are sorted whole.
+    Rows of at most k entries are sorted whole.  Long rows are
+    partitioned a row block at a time (``_row_blocks``).
     """
     if k >= block.shape[1]:
         return np.argsort(block, axis=1, kind="stable"), np.empty(0, dtype=np.intp)
-    part = np.argpartition(block, k, axis=1)
-    head = part[:, :k]
-    values = np.take_along_axis(block, head, axis=1)
-    order = np.take_along_axis(head, np.lexsort((head, values), axis=1), axis=1)
-    after = np.take_along_axis(block, part[:, k, None], axis=1)[:, 0]
-    return order, np.flatnonzero(values.max(axis=1) == after)
+    orders, ties = [], []
+    for cut in _row_blocks(*block.shape):
+        rows = block[cut]
+        part = np.argpartition(rows, k, axis=1)
+        head = part[:, :k]
+        values = np.take_along_axis(rows, head, axis=1)
+        orders.append(np.take_along_axis(head, np.lexsort((head, values), axis=1), axis=1))
+        after = np.take_along_axis(rows, part[:, k, None], axis=1)[:, 0]
+        ties.append(cut.start + np.flatnonzero(values.max(axis=1) == after))
+    return np.concatenate(orders), np.concatenate(ties)
 
 
 def _prefix_length(kernels) -> int:
@@ -180,7 +222,10 @@ def _shared_kept(kernels, N: int, seed: int):
             kept, unfinished = kernel.greedy_rows(order)
             redo = np.union1d(ties, unfinished) if ties.size else unfinished
             if redo.size:
-                kept[redo] = kernel.greedy_rows(np.argsort(block[redo], axis=1, kind="stable"))[0]
+                kept[redo] = np.concatenate([
+                    kernel.greedy_rows(np.argsort(block[redo[cut]], axis=1, kind="stable"))[0]
+                    for cut in _row_blocks(redo.size, block.shape[1])
+                ])
             out.append(kept)
         return out
 

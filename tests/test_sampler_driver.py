@@ -36,6 +36,7 @@ from amenability import (
     subspace_from_rows,
     zero_subspace,
 )
+from amenability import steiner
 from amenability.linalg import _MR_EXACT_BELOW
 from amenability.steiner import CHUNK, _prefix_length, _stable_prefix, _tally, angles_from_hits
 
@@ -296,6 +297,16 @@ def test_prefixes_of_rows_full_of_ties_are_stable():
                 assert ties.size  # the fallback is reached
 
 
+def test_prefixes_taken_a_row_block_at_a_time_equal_one_block(monkeypatch):
+    rng = np.random.default_rng(8)
+    block = rng.integers(0, 3, size=(50, 40)).astype(float)
+    whole = _stable_prefix(block, 5)
+    monkeypatch.setattr(steiner, "_BLOCK_ENTRIES", 3 * 40 + 7)  # blocks of 3 rows, the last of 2
+    order, ties = assert_prefix_is_exact(block, 5)
+    assert np.array_equal(order, whole[0])
+    assert ties.tolist() == whole[1].tolist() and ties.max() > 40  # later blocks' rows keep their index
+
+
 def test_greedy_rows_report_rows_that_a_short_order_leaves_unfinished():
     rng = random.Random(29)
     for name in sorted(FIELDS):
@@ -340,6 +351,9 @@ def test_driver_hits_on_directions_full_of_ties(monkeypatch):
     N, seed = 1100, 4
     ties, _ = prefix_misses([M._kernel], N, seed)
     assert ties == N // 2
+    assert estimate_steiner(M, N, seed).per_vertex_hits == reference_hits(M, N, seed)
+    # the full sorts of those rows, a row block at a time, find the same bases
+    monkeypatch.setattr(steiner, "_BLOCK_ENTRIES", 37 * len(M.labels))
     assert estimate_steiner(M, N, seed).per_vertex_hits == reference_hits(M, N, seed)
 
 

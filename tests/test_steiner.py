@@ -1,4 +1,5 @@
 import math
+import mmap
 import random
 from fractions import Fraction
 
@@ -72,6 +73,30 @@ def test_sampler_rejects_a_dimension_that_is_not_a_count():
     with pytest.raises(ShapeError, match="dimension must be at least 1"):
         DirectionSampler(seed=1, dimension=0.5)
     assert DirectionSampler(seed=1, dimension=np.int64(2)).chunk(0).shape[1] == 2
+
+
+def test_chunks_drawn_in_row_blocks_equal_one_draw():
+    # 5 fits one block; 300 takes blocks of 436 and 76 rows; 2048 takes
+    # eight blocks of 64 rows into a buffer of its own memory map
+    for dimension in (5, 300, 2048):
+        gen = np.random.Generator(np.random.Philox(key=np.array([12, 3], dtype=np.uint64)))
+        raw = gen.standard_normal((steiner.CHUNK, dimension))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        assert np.array_equal(DirectionSampler(seed=12, dimension=dimension).chunk(3), raw)
+
+
+def test_only_chunks_longer_than_a_block_get_their_own_memory_map():
+    def owner(a):
+        while isinstance(a, np.ndarray):
+            a = a.base
+        return a.obj if isinstance(a, memoryview) else a
+
+    small = DirectionSampler(seed=1, dimension=steiner._BLOCK_ENTRIES // steiner.CHUNK).chunk(0)
+    large = DirectionSampler(seed=1, dimension=steiner._BLOCK_ENTRIES // steiner.CHUNK + 1).chunk(0)
+    assert owner(small) is None
+    assert isinstance(owner(large), mmap.mmap)
+    large[0, 0] = 2.0  # writable, like any chunk
+    assert large.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
