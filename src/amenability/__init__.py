@@ -28,9 +28,7 @@ from .linalg import (
     act_subspace,
     align_pair,
     contains_subspace,
-    dump_subspace,
     gf,
-    load_subspace,
     quotient_dim,
     rref,
     subspace_from_json,
@@ -74,8 +72,6 @@ from .groups import (
     free_group,
     integer_lattice,
     integer_line,
-    lamp_inverse,
-    lamp_multiply,
     lamplighter,
     parse_group,
     permutation_action_from_json,

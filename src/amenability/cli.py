@@ -40,7 +40,7 @@ def _dump_json(doc: dict, out_path) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _load_subspace_file(path):
+def _read_subspace_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return subspace_from_json(json.load(fh))
 
@@ -57,7 +57,7 @@ def _report_doc(report) -> dict:
 
 
 def _cmd_steiner(args) -> int:
-    space = _load_subspace_file(args.input)
+    space = _read_subspace_file(args.input)
     M = SubspaceMatroid(space)
     est = estimate_steiner(M, args.samples, args.seed)
     doc = {
@@ -79,7 +79,7 @@ def _cmd_steiner(args) -> int:
 
 
 def _cmd_matroid(args) -> int:
-    space = _load_subspace_file(args.input)
+    space = _read_subspace_file(args.input)
     M = SubspaceMatroid(space)
     doc = {
         "rank": M.rank,

@@ -25,6 +25,7 @@ from .linalg import (
     FieldSpec,
     _decode_label,
     _gc_paused,
+    _lamp_bounds,
     _lamp_masks,
     _lamp_parts,
     _lamp_word,
@@ -56,26 +57,6 @@ LAMP_IDENTITY = LampElement((), 0)
 _new = tuple.__new__
 
 
-def _lamp_element(a):
-    if not _lamp_valid(a):
-        raise ShapeError(f"a lamplighter element is a pair (sorted lit lamps, position), not {a!r}")
-    return a
-
-
-def lamp_multiply(a, b) -> LampElement:
-    """(f, t)(g, u) = (f + g shifted by t, t + u), lamps over Z/2."""
-    (fa, ta), (fb, tb) = _lamp_element(a), _lamp_element(b)
-    lit = set(fa)
-    for x in fb:
-        lit ^= {x + ta}
-    return LampElement(tuple(sorted(lit)), ta + tb)
-
-
-def lamp_inverse(a) -> LampElement:
-    lamps, t = _lamp_element(a)
-    return LampElement(tuple(sorted(x - t for x in lamps)), -t)
-
-
 @dataclass(frozen=True)
 class GroupAction:
     """A finitely generated group acting on the right on a point set.
@@ -95,10 +76,6 @@ class GroupAction:
     @property
     def generators(self) -> tuple:
         return tuple(self.moves)
-
-    def apply(self, point: Point, g: str) -> Point:
-        """The image of ``point`` under the generator ``g``; the point is not checked."""
-        return self._move(g)(point)
 
     def _move(self, g) -> Callable[[Point], Point]:
         try:
@@ -164,7 +141,12 @@ class GroupAction:
 
 
 def _z_valid(x) -> bool:
-    return isinstance(x, int)
+    """Whether ``x`` is an int and no bool: a point of Z, and each entry of a built-in action's point.
+
+    A bool is an int, and ``True == 1``: a set holding both would count
+    them as one point.
+    """
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def integer_line() -> GroupAction:
@@ -178,11 +160,21 @@ def integer_line() -> GroupAction:
     )
 
 
+# Z^d is capped at d = 1,024.  Its 2d moves are built up front and each
+# copies a d-tuple, so the action's cost grows with d: integer_lattice(10**5)
+# took 0.63 s (2-vCPU Xeon), and 10**30 would not finish.  At the cap it
+# takes ~3 ms, and the ball of radius 1 (2,049 points) is already far past
+# the exact profile's window.
+_LATTICE_DIM_CAP = 1_024
+
+
 def integer_lattice(d: int) -> GroupAction:
-    """Z^d acting on itself; generators +e1..-ed, points are d-tuples."""
+    """Z^d acting on itself; generators +e1..-ed, points are d-tuples.  d is capped at 1,024."""
     if isinstance(d, numbers.Real) and d < 1:
         raise ShapeError("lattice dimension must be positive")
     _require_int(d, "lattice dimension")
+    if d > _LATTICE_DIM_CAP:
+        raise CapacityError(f"lattice dimension is capped at {_LATTICE_DIM_CAP}")
     if d == 1:
         return integer_line()
 
@@ -196,7 +188,7 @@ def integer_lattice(d: int) -> GroupAction:
         inverses[plus], inverses[minus] = minus, plus
 
     def valid(x):
-        return isinstance(x, tuple) and len(x) == d and all(isinstance(v, int) for v in x)
+        return isinstance(x, tuple) and len(x) == d and all(map(_z_valid, x))
 
     return GroupAction(name=f"Z^{d}", moves=moves, inverses=inverses, validate=valid, base=(0,) * d)
 
@@ -206,11 +198,11 @@ def _lamp_valid(x) -> bool:
         lamps, pos = x
     except (TypeError, ValueError):
         return False
-    if not isinstance(pos, int) or not isinstance(lamps, tuple):
+    if not _z_valid(pos) or not isinstance(lamps, tuple):
         return False
     prev = None
     for v in lamps:
-        if not isinstance(v, int) or (prev is not None and v <= prev):
+        if not _z_valid(v) or (prev is not None and v <= prev):
             return False
         prev = v
     return True
@@ -265,26 +257,21 @@ def _lamp_steps(action: GroupAction, word) -> list | None:
         return None
 
 
-# The widest window: as for the order keys' frame, the largest code,
-# 2^w * w - 1, fits int64 for w <= 57.
-_LAMP_CODE_WINDOW = len(_LAMP_FRAME)
-
-
 def _lamp_codes(points, words, action: GroupAction):
     """Lamplighter points and their images under each word as sorted int64 codes.
 
     Returns the sorted, distinct codes of ``points`` and, per word, the
     sorted codes of the points' images (distinct, as a word moves points
-    injectively).  A code is ``mask * w + (head - lo)`` for the masks of
-    ``linalg._lamp_masks`` in a window of w positions from lo.  Returns
-    None, and never raises, unless every input is vouched for: ``action``
+    injectively).  The codes are those of ``linalg._lamp_masks``, in a
+    window as wide as ``_LAMP_FRAME`` that starts at the lowest position
+    of the points, their heads widened by the longest word: so a set
+    anywhere on the line is coded once it fits that width.  Returns None,
+    and never raises, unless every input is vouched for: ``action``
     validates by ``_lamp_valid`` and moves each letter of the words by one
     of the lamp moves; ``points`` is a non-empty tuple, list, set or
     frozenset of labels that ``linalg._lamp_parts`` accepts, with
-    increasing lamps; and all of them, with the heads widened by the
-    longest word each way, fit in a window of ``_LAMP_CODE_WINDOW``
-    positions.  The caller's generic path then serves, and raises, any
-    other input.
+    increasing lamps; and they fit the window.  The caller's generic path
+    then serves, and raises, any other input.
     """
     steps = [_lamp_steps(action, word) for word in words]
     if None in steps or type(points) not in (tuple, list, set, frozenset):
@@ -292,20 +279,16 @@ def _lamp_codes(points, words, action: GroupAction):
     parts = _lamp_parts(points if type(points) in (tuple, list) else list(points))
     if parts is None:
         return None
-    _, _, lamps, heads = parts
-    reach = max(map(len, words), default=0)
-    lo, hi = min(heads) - reach, max(heads) + reach
-    if lamps:
-        lo, hi = min(lo, min(lamps)), max(hi, max(lamps))
-    w = hi - lo + 1
-    coded = w <= _LAMP_CODE_WINDOW and _lamp_masks(parts, lo, w)
+    w = len(_LAMP_FRAME)
+    lo, hi = _lamp_bounds(parts, max(map(len, words), default=0))
+    coded = hi - lo < w and _lamp_masks(parts, lo)
     if not coded:
         return None
     codes = _sorted_distinct(coded[0] * w + coded[1])
     masks, offsets = np.divmod(codes, w)
     images = []
     for step in steps:
-        m, o = _lamp_word(masks, offsets, step, w)
+        m, o = _lamp_word(masks, offsets, step)
         images.append(np.sort(m * w + o))
     return codes, images
 
@@ -331,7 +314,7 @@ def free_group(rank: int) -> GroupAction:
     moves = {g: step(v) for g, v in zip(names, codes)}
 
     def valid(x):  # letters first: only ints may be negated
-        in_range = isinstance(x, tuple) and all(isinstance(v, int) and 0 < abs(v) <= rank for v in x)
+        in_range = isinstance(x, tuple) and all(_z_valid(v) and 0 < abs(v) <= rank for v in x)
         return in_range and all(a != -b for a, b in zip(x, x[1:]))
 
     return GroupAction(
@@ -506,8 +489,9 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
     exactly 2^n * n points.  lamp-span(n): the span of the n vectors
     "sum over every lamp pattern at head position t", dimension n.
     z-interval(n): {1..n} in Z; z-interval-span(n): its coordinate span.
-    A span is built in sorted order and RREF, marked as made of its action's
-    points, so acting on it checks no label.  Oversized n is refused first.
+    A span is built in sorted order and RREF; a lamp span carries its
+    labels' order keys, so acting on it checks no label.  Oversized n is
+    refused first.
     """
     if isinstance(n, numbers.Real) and n < 1:
         raise ShapeError("family parameter must be at least 1")
@@ -522,7 +506,7 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
     if kind == "z-interval":
         return tuple(range(1, n + 1))
     if kind == "z-interval-span":
-        return _reduced_subspace(np.eye(n, dtype=np.int64), tuple(range(1, n + 1)), field, _z_valid)
+        return _reduced_subspace(np.eye(n, dtype=np.int64), tuple(range(1, n + 1)), field)
 
     # from n = bit_length on, 2^n alone passes the cap: refuse before shifting by n
     if n >= _LAMP_POINT_CAP.bit_length() or (1 << n) * n > _LAMP_POINT_CAP:
@@ -533,4 +517,4 @@ def family_generate(kind: str, n: int, field: FieldSpec = None):
 
     # head t sits at columns t - 1, t - 1 + n, ...: the rows are I_n tiled
     rows = np.tile(np.eye(n, dtype=np.int64), 1 << n)
-    return _reduced_subspace(rows, tuple(points), field, _lamp_valid, _lamp_box_keys(n))
+    return _reduced_subspace(rows, tuple(points), field, _lamp_box_keys(n))

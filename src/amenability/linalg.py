@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import json
 import math
 import numbers
 import operator
@@ -309,21 +308,19 @@ class LabeledSubspace:
 
     Lamplighter labels whose positions all lie in ``_LAMP_FRAME`` may
     carry their order keys (see ``_lamp_keys``), so that sorts, relabels
-    and label unions of lamp spans run on int64 arrays.  Any other
-    subspace, and a ``dataclasses.replace`` copy, carries none and is
-    sorted and merged tuple by tuple, with the same result.
+    and label unions of lamp spans run on int64 arrays, and the
+    lamplighter's moves check none of their labels.  Any other subspace,
+    and a ``dataclasses.replace`` copy, carries none and is sorted,
+    merged and checked tuple by tuple, with the same result.
     """
 
     field: FieldSpec
     labels: tuple
     basis: Any
 
-    # The ``validate`` of the action whose points the labels are, set by
-    # ``family_generate`` only; not a field, so ``replace``, equality and
-    # repr ignore it, while pickles and copies keep it (by reference).
-    _checked_by = None
     # None, or ``_lamp_keys(labels)``, the labels' order keys.  Not a
-    # field either, for the same reasons.
+    # field, so ``replace``, equality and repr ignore it, while pickles
+    # and copies keep it.
     _keys = None
 
     @property
@@ -454,7 +451,9 @@ def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
 # compare with no re-encoding.  Lamp position lo + j is bit w-1-j of the
 # label's mask, so the toggle under the head is one XOR and the rank a few
 # array passes (``_order_keys``).  The largest key, 2^w * w - 1, fits int64
-# for w <= 57.
+# for w <= 57.  ``groups._lamp_codes`` uses the same masks in a window of
+# the same width that starts where its points do, with the code
+# mask * w + (head - lo) in place of the key.
 _LAMP_FRAME = range(-28, 29)
 
 
@@ -468,7 +467,8 @@ def _lamp_parts(labels):
     is a pair, a plain tuple or a ``LampElement``, of a tuple of lamps and
     a head, all exact ints (a bool is refused).  A first label that is not
     such a pair costs a few tests and no pass.  ``_lamp_masks`` checks
-    that the lamps increase.
+    that the lamps increase; labels that pass both pass
+    ``groups._lamp_valid``.
     """
     from .groups import LampElement  # groups imports this module
 
@@ -490,13 +490,23 @@ def _lamp_parts(labels):
     return distinct, where, lamps, heads
 
 
-def _lamp_masks(parts, lo: int, w: int):
-    """The masks and head offsets of ``_lamp_parts`` in the frame lo..lo+w-1, or None.
+def _lamp_bounds(parts, reach: int = 0) -> tuple:
+    """The lowest and highest positions of ``_lamp_parts``' lamps and heads, the heads widened by ``reach``."""
+    _, _, lamps, heads = parts
+    lo, hi = min(heads) - reach, max(heads) + reach
+    if lamps:
+        lo, hi = min(lo, min(lamps)), max(hi, max(lamps))
+    return lo, hi
 
-    The caller has checked that every position lies in the frame.  Bit
+
+def _lamp_masks(parts, lo: int):
+    """The masks and head offsets of ``_lamp_parts`` in the window of the frame's width w from lo, or None.
+
+    The caller has checked that every position lies in lo..lo+w-1.  Bit
     w-1-j of a mask is the lamp at lo + j; None unless each label's lamps
     strictly increase.
     """
+    w = len(_LAMP_FRAME)
     distinct, where, lamps, heads = parts
     sizes = np.fromiter(map(len, distinct), np.int64, len(distinct))
     bits = np.fromiter(map(operator.sub, lamps, repeat(lo)), np.int64, len(lamps))
@@ -534,13 +544,10 @@ def _lamp_keys(labels):
     parts = _lamp_parts(labels)
     if parts is None:
         return None
-    _, _, lamps, heads = parts
-    lo, hi = min(heads), max(heads)
-    if lamps:
-        lo, hi = min(lo, min(lamps)), max(hi, max(lamps))
+    lo, hi = _lamp_bounds(parts)
     if lo < _LAMP_FRAME.start or hi >= _LAMP_FRAME.stop:
         return None
-    coded = _lamp_masks(parts, _LAMP_FRAME.start, len(_LAMP_FRAME))
+    coded = _lamp_masks(parts, _LAMP_FRAME.start)
     return None if coded is None else _order_keys(*coded)
 
 
@@ -565,12 +572,13 @@ def _key_masks(keys: np.ndarray) -> np.ndarray:
     return masks[np.cumsum(new) - 1]
 
 
-def _lamp_word(masks: np.ndarray, offsets: np.ndarray, steps, w: int):
-    """Masks and head offsets moved by a word's lamp steps, or None if a head leaves 0..w-1.
+def _lamp_word(masks: np.ndarray, offsets: np.ndarray, steps):
+    """``_lamp_masks``' masks and head offsets moved by a word's lamp steps, or None if a head leaves 0..w-1.
 
     A step is +1 or -1 for a head move and 0 for the toggle under the
     head; ``masks`` is not read unless the word toggles.
     """
+    w = len(_LAMP_FRAME)
     shifts = list(accumulate(steps, initial=0))  # of the heads, before each step and after the last
     if offsets.min() + min(shifts) < 0 or offsets.max() + max(shifts) >= w:
         return None
@@ -633,17 +641,15 @@ def _canonical(a: np.ndarray, labels: tuple, field: FieldSpec) -> LabeledSubspac
     return LabeledSubspace(field, labels, _to_basis(reduced, field))
 
 
-def _reduced_subspace(rows: np.ndarray, labels: tuple, field: FieldSpec, checked_by, keys=None) -> LabeledSubspace:
-    """0/1 int64 rows already in RREF over sorted labels, marked as accepted by ``checked_by``.
+def _reduced_subspace(rows: np.ndarray, labels: tuple, field: FieldSpec, keys=None) -> LabeledSubspace:
+    """0/1 int64 rows already in RREF over sorted labels.
 
     Over GF(p) the rows are residues already and become the basis itself
     (made read-only), with no reduced copy.  ``keys`` are the labels'
     ``_lamp_keys``, if they have them.
     """
     a = _to_array(rows, field) if field.is_rational else rows
-    space = LabeledSubspace(field, labels, _to_basis(a, field))
-    object.__setattr__(space, "_checked_by", checked_by)
-    return _keyed(space, keys)
+    return _keyed(LabeledSubspace(field, labels, _to_basis(a, field)), keys)
 
 
 def zero_subspace(labels: Sequence[Label], field: FieldSpec) -> LabeledSubspace:
@@ -800,8 +806,15 @@ class FormalCombination:
 
 
 def _label_images(F: LabeledSubspace, action, words) -> Iterator[list]:
-    """``action.act_points`` of F's labels, with no check for a family span of this ``validate``."""
-    return action._act_points(F.labels, words, F._checked_by is action.validate)
+    """``action.act_points`` of F's labels, with no check of labels that order keys vouch for.
+
+    Labels with keys pass ``_lamp_parts`` and ``_lamp_masks``, and so
+    ``groups._lamp_valid``: an action that validates by it has nothing
+    to check.
+    """
+    from . import groups  # groups imports this module
+
+    return action._act_points(F.labels, words, F._keys is not None and action.validate is groups._lamp_valid)
 
 
 def _injective(cols: list) -> list:
@@ -819,8 +832,9 @@ def act_subspace(F: LabeledSubspace, action, r) -> LabeledSubspace:
     preserved); a FormalCombination maps each basis vector by the linear
     extension and the span is recanonicalized.  Labels outside the current
     ambient are created as needed (the ambient is all of K^X implicitly).
-    F's labels are checked by ``action.validate`` once, and not at all for
-    a ``family_generate`` span of an action with that same ``validate``.
+    F's labels are checked by ``action.validate`` once, and not at all
+    when their order keys vouch for them under the lamplighter's
+    ``validate`` (see ``_label_images``).
 
     A single element costs its moves and at most one RREF.  A relabel
     that keeps the labels' order (a shift of a lamp, interval or Z^d
@@ -884,8 +898,7 @@ def _lamp_relabel(F: LabeledSubspace, action, r):
     built with no Python frame per label; one onto F's labels takes
     their columns from the keys with ``searchsorted``.  The result is the
     tuple-by-tuple path's, label objects' types included, and so are its
-    errors: F's labels pass ``_lamp_valid``, and are checked as there
-    unless F is a family span.
+    errors: the keys vouch for F's labels, as in ``_label_images``.
     """
     from .groups import LampElement, _lamp_steps  # groups imports this module
 
@@ -896,11 +909,9 @@ def _lamp_relabel(F: LabeledSubspace, action, r):
     keys, w = F._keys, len(_LAMP_FRAME)
     toggles = 0 in steps
     offsets = keys % w
-    moved = _lamp_word(_key_masks(keys) if toggles else None, offsets, steps, w)
+    moved = _lamp_word(_key_masks(keys) if toggles else None, offsets, steps)
     if moved is None:
         return None
-    if steps and F._checked_by is not action.validate:
-        action._check_points(F.labels)
     keys_r = _order_keys(*moved) if toggles else keys - offsets + moved[1]
 
     def images() -> Sequence:
@@ -953,15 +964,3 @@ def subspace_from_json(obj: Mapping) -> LabeledSubspace:
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed subspace document: {exc}") from exc
     return subspace_from_rows(rows, labels, fld)
-
-
-def dump_subspace(space: LabeledSubspace) -> str:
-    return json.dumps(subspace_to_json(space), sort_keys=True)
-
-
-def load_subspace(text: str) -> LabeledSubspace:
-    try:
-        obj = json.loads(text)
-    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ShapeError(f"malformed subspace document: {exc}") from exc
-    return subspace_from_json(obj)

@@ -38,9 +38,11 @@ from .errors import (
 )
 from .linalg import (
     LabeledSubspace,
+    _label_list,
     _prime_above,
     _require_int,
     _rref,
+    _sorted_labels,
     _to_array,
     contains_subspace,
 )
@@ -218,7 +220,7 @@ def is_independent(M: SubspaceMatroid, S: Iterable) -> bool:
     Only S's columns are read: over Q the whole basis as one array costs
     a Fraction conversion per entry.
     """
-    pos = M._positions(S)
+    pos = M._positions(_label_list(S))
     if len(set(pos)) != len(pos) or len(pos) > M.rank:
         return False
     sp = M.space
@@ -228,7 +230,7 @@ def is_independent(M: SubspaceMatroid, S: Iterable) -> bool:
 
 
 def is_basis(M: SubspaceMatroid, S: Iterable) -> bool:
-    S = list(S)
+    S = _label_list(S)
     return len(S) == M.rank and is_independent(M, S)
 
 
@@ -296,6 +298,11 @@ def _check_nested(E: SubspaceMatroid, F: SubspaceMatroid) -> None:
         raise ContainmentError("the first subspace is not contained in the second")
 
 
+def _basis_arg(S) -> Basis:
+    """A basis given to a nested-pair operation, as a sorted tuple of labels."""
+    return tuple(_sorted_labels(_label_list(S)))
+
+
 def _check_basis(M: SubspaceMatroid, S, what: str) -> None:
     if not is_basis(M, S):
         raise InvalidBasisError(f"{what} {tuple(S)!r} is not a basis")
@@ -307,7 +314,7 @@ def basis_extend(E: SubspaceMatroid, F: SubspaceMatroid, S: Iterable) -> Basis:
     Greedy on F with the S-columns first: S itself, then the labels
     outside S, in ascending order, that each enlarge the span.
     """
-    S = tuple(sorted(S))
+    S = _basis_arg(S)
     _check_nested(E, F)
     _check_basis(E, S, "basis of the smaller subspace")
     T = tuple(F.labels[j] for j in _greedy(F, _leading(F, S)))
@@ -322,7 +329,7 @@ def basis_restrict(E: SubspaceMatroid, F: SubspaceMatroid, T: Iterable) -> Basis
     Greedy on E over the labels of T, in ascending order; the labels of
     T outside E carry zero columns of E and are never kept.
     """
-    T = tuple(sorted(T))
+    T = _basis_arg(T)
     _check_nested(E, F)
     _check_basis(F, T, "basis of the larger subspace")
     S = tuple(E.labels[j] for j in _greedy(E, [E._index[lbl] for lbl in T if lbl in E._index]))
@@ -353,8 +360,8 @@ def basis_exchange(E: SubspaceMatroid, F: SubspaceMatroid, S, T, k) -> object:
     then S - {k} + {l} is a basis of E and T - {l} + {k} a basis of F.
     Labels of T outside E carry zero columns of E, so eps_k is 0 there.
     """
-    S = tuple(sorted(S))
-    T = tuple(sorted(T))
+    S = _basis_arg(S)
+    T = _basis_arg(T)
     _check_nested(E, F)
     _check_basis(E, S, "basis of the smaller subspace")
     _check_basis(F, T, "basis of the larger subspace")

@@ -11,7 +11,6 @@ from amenability import (
     GF2,
     RATIONALS,
     DirectionSampler,
-    dump_subspace,
     gf,
     subspace_from_rows,
     subspace_to_json,
@@ -23,7 +22,7 @@ from amenability.cli import main
 def segment_file(tmp_path):
     sp = subspace_from_rows([(1, 0, 0), (0, 1, 1)], [1, 2, 3], GF2)
     path = tmp_path / "seg.json"
-    path.write_text(dump_subspace(sp))
+    path.write_text(json.dumps(subspace_to_json(sp)))
     return str(path)
 
 
@@ -96,7 +95,7 @@ def test_steiner_angles_documents_are_byte_identical(rows, field, argv, digest, 
     # digests of documents whose angles were sampled apart from the estimate;
     # reading the angles off the estimate's hits must not change a byte
     path = tmp_path / "sub.json"
-    path.write_text(dump_subspace(subspace_from_rows(rows, list(range(len(rows[0]))), field)))
+    path.write_text(json.dumps(subspace_to_json(subspace_from_rows(rows, list(range(len(rows[0]))), field))))
     code, out = run_cli(capsys, "steiner", "--input", str(path), *argv, "--angles")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -115,6 +114,16 @@ def test_steiner_missing_file_errors(capsys):
     code, out = run_cli(capsys, "steiner", "--input", "/nonexistent.json")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "FileNotFound"
+
+
+@pytest.mark.parametrize("text, kind", [("x", "BadInput"), ("", "BadInput"), ("{", "BadInput"), (b"\xff", "BadInput"),
+                                        ("5", "ShapeError"), ("null", "ShapeError")])
+def test_steiner_on_a_file_that_is_no_subspace_document_gives_structured_error(tmp_path, text, kind, capsys):
+    path = tmp_path / "sub.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, out = run_cli(capsys, "steiner", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == kind
 
 
 def test_degenerate_subspace_gives_structured_error(tmp_path, capsys):
@@ -332,6 +341,18 @@ def test_profile_exact_on_a_finite_action_has_no_base_point(tmp_path, name, caps
     assert json.loads(out)["error"] == {
         "type": "DomainError", "message": f"no default base point for the {name} action",
     }
+
+
+@pytest.mark.parametrize("d", [1024, 1025, 10**30])
+def test_profile_on_a_lattice_past_the_cap_is_the_capacity_error(d, capsys):
+    code, out = run_cli(
+        capsys, "profile", "--group", f"Z^{d}", "--mode", "exact", "--window-radius", "0", "--vmax", "1", "--format", "json",
+    )
+    if d == 1024:
+        assert code == 0 and json.loads(out)["window"] == "1 points of Z^1024"
+    else:
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "CapacityError", "message": "lattice dimension is capped at 1024"}
 
 
 def test_profile_csv_is_deterministic(capsys):

@@ -205,8 +205,8 @@ BOX3 = family_generate("lamp-box", 3)
 
 # name -> (a maker of F, S, the error the point-by-point path raises or None)
 LAMP_FALLBACKS = {
-    "bool-head": (lambda: [((), True), ((1,), 2)], LAMP_GENS, None),
-    "bool-lamp": (lambda: [((True,), 0)], LAMP_GENS, None),
+    "bool-head": (lambda: [((), True), ((1,), 2)], LAMP_GENS, DomainError),
+    "bool-lamp": (lambda: [((True,), 0)], LAMP_GENS, DomainError),
     "list-lamps": (lambda: [([1], 2)], LAMP_GENS, ShapeError),
     "unsorted-lamps": (lambda: [((2, 1), 0)], LAMP_GENS, DomainError),
     "three-entries": (lambda: [((), 0, 1)], LAMP_GENS, DomainError),
@@ -235,6 +235,14 @@ def test_lamp_inputs_the_codes_cannot_vouch_for_take_the_point_by_point_path(nam
         assert isinstance(got, folner.FolnerReport)
     else:
         assert got[0] is error
+
+
+@pytest.mark.parametrize("F, action", [([((), True), ((), 1)], L), ([True, 1], Z)], ids=["lamplighter", "Z"])
+def test_a_set_with_a_bool_point_is_refused(F, action):
+    # True == 1, so each set once counted as one point
+    with pytest.raises(DomainError) as err:
+        set_report(F, ["+1"], action)
+    assert str(err.value) == f"{F[0]!r} is not a point of the {action.name} action"
 
 
 def test_an_action_with_lamp_points_but_other_moves_is_moved_point_by_point(moved):

@@ -24,8 +24,6 @@ from amenability import (
     gf,
     integer_lattice,
     integer_line,
-    lamp_inverse,
-    lamp_multiply,
     lamplighter,
     parse_group,
     permutation_action_from_json,
@@ -74,7 +72,8 @@ def test_points_are_validated():
         (((), 0), True),
         (((-2, 0, 5), 3), True),
         (LampElement((1, 2), -4), True),
-        (((False, True), 0), True),  # bools are ints, and False < True
+        (((False, True), 0), False),  # bools are ints, but no exact ones
+        (((), True), False),
         (((3, 1), 0), False),  # unsorted lamps
         (((1, 1), 0), False),  # duplicate lamps
         (((1, True), 0), False),  # True == 1: a duplicate
@@ -126,7 +125,7 @@ def random_point(action, rng):
         word = ()
         for _ in range(rng.randrange(0, 6)):
             g = rng.choice(action.generators)
-            word = action.apply(word, g)
+            word = action.act_word(word, g)
         return word
     raise AssertionError(action.name)
 
@@ -169,10 +168,10 @@ def test_an_action_is_one_move_per_generator(action, generators):
     for g in action.moves:
         assert action.inverses[action.inverses[g]] == g
     x = HEXAGON_POINTS[0] if action is HEXAGON else base_point(action)
-    assert [action.apply(x, g) for g in generators] == [action.act_word(x, g) for g in generators]
+    assert [action.moves[g](x) for g in generators] == [action.act_word(x, g) for g in generators]
     for bad in ("zz", 5, ["+1"]):  # no name falls through to some other move
         with pytest.raises(DomainError, match=re.escape(f"unknown generator {bad!r} in a word")):
-            action.apply(x, bad)
+            action.act_word(x, (bad,))
 
 
 def test_a_lattice_of_dimension_one_is_the_line():
@@ -223,6 +222,14 @@ def test_invalid_start_points_still_raise(action, bad):
         action.act_word(bad, (action.generators[0],) * 3)
 
 
+def test_bools_are_no_points_of_the_built_in_actions():
+    # a bool once passed as an int, and True == 1: set_report counted ((), True) and ((), 1) as one point
+    for action, bad in [(Z, True), (integer_lattice(2), (0, False)), (L, ((), True)), (L, ((True,), 0)), (F2, (True,))]:
+        assert not action.validate(bad)
+        with pytest.raises(DomainError, match="is not a point"):
+            action.act_word(bad, action.generators[0])
+
+
 def test_unknown_generators_still_raise_anywhere_in_a_word():
     with pytest.raises(DomainError, match="unknown generator"):
         Z.act_word(0, ("+1", "+1", "nope"))
@@ -251,7 +258,7 @@ def _act_word_by_word(action, points, words):
                 raise DomainError(f"unknown generator {g!r} in a word")
             if i == 0:
                 action.check_point(x)
-            x = action.apply(x, g)
+            x = action.moves[g](x)
         return x
 
     return [[act(x, w) for x in points] for w in words]
@@ -306,6 +313,26 @@ def test_act_points_check_each_point_once():
     assert list(line.act_points([], ["nope"])) == [[]]
 
 
+def _lamp_product(a, b) -> LampElement:
+    """(f, t)(g, u) = (f + g shifted by t, t + u), lamps over Z/2: the group law the moves follow."""
+    (fa, ta), (fb, tb) = a, b
+    return LampElement(tuple(sorted(set(fa) ^ {x + ta for x in fb})), ta + tb)
+
+
+def _lamp_inverse(a) -> LampElement:
+    lamps, t = a
+    return LampElement(tuple(sorted(x - t for x in lamps)), -t)
+
+
+def _lamp_word_of(x) -> tuple:
+    """A word of the lamplighter's generators that takes the identity to ``x``."""
+    word, head = [], 0
+    for target in (*x[0], x[1]):
+        word += ["+1" if target > head else "-1"] * abs(target - head) + ["b"]
+        head = target
+    return tuple(word[:-1])  # the last stop is the head, where no lamp is toggled
+
+
 def test_lamplighter_associativity_against_the_group_law():
     rng = random.Random(55)
     gens = {"+1": LampElement((), 1), "-1": LampElement((), -1), "b": LampElement((0,), 0)}
@@ -314,16 +341,18 @@ def test_lamplighter_associativity_against_the_group_law():
         g = rng.choice(L.generators)
         h = rng.choice(L.generators)
         stepped = L.act_word(L.act_word(x, g), h)
-        gh = lamp_multiply(gens[g], gens[h])
-        assert stepped == lamp_multiply(x, gh)
+        gh = _lamp_product(gens[g], gens[h])
+        assert stepped == _lamp_product(x, gh)
 
 
 def test_lamp_inverse_is_a_group_inverse():
     rng = random.Random(56)
     for _ in range(100):
         x = random_point(L, rng)
-        assert lamp_multiply(x, lamp_inverse(x)) == LAMP_IDENTITY
-        assert lamp_multiply(lamp_inverse(x), x) == LAMP_IDENTITY
+        assert _lamp_product(x, _lamp_inverse(x)) == LAMP_IDENTITY
+        assert _lamp_product(_lamp_inverse(x), x) == LAMP_IDENTITY
+        assert L.act_word(LAMP_IDENTITY, _lamp_word_of(x)) == x
+        assert L.act_word(x, _lamp_word_of(_lamp_inverse(x))) == LAMP_IDENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +420,8 @@ def test_lamp_moves_build_lamp_elements():
     for _ in range(100):
         x = random_point(L, rng)
         for g in L.generators:
-            assert type(L.apply(x, g)) is LampElement
-            assert type(L.apply(tuple(x), g)) is LampElement
+            assert type(L.act_word(x, g)) is LampElement
+            assert type(L.act_word(tuple(x), g)) is LampElement
 
 
 def test_lamp_span_dimension():
@@ -610,14 +639,16 @@ def test_a_finite_action_has_no_base_point_whatever_its_name():
             base_point(action)
 
 
-@pytest.mark.parametrize("bad", [5, "x", None, ((), 0, 1), ([1], 0), ((2, 1), 0), ((1,), "0")])
-def test_lamp_multiply_and_inverse_refuse_what_is_no_lamplighter_element(bad):
-    # lamp_multiply(5, 6) once raised a raw TypeError and lamp_inverse("x") a raw IndexError
-    x = LampElement((1, 3), 2)
-    assert lamp_multiply(x, lamp_inverse(x)) == LAMP_IDENTITY
-    for call in (lambda: lamp_multiply(bad, x), lambda: lamp_multiply(x, bad), lambda: lamp_inverse(bad)):
-        with pytest.raises(ShapeError, match="a lamplighter element is a pair"):
-            call()
+def test_lattice_dimensions_past_the_cap_are_refused_before_any_move_is_built():
+    # integer_lattice(10**5) once took 0.63 s to build its moves, and 10**30 never finished
+    at_cap = integer_lattice(1_024)
+    assert len(at_cap.generators) == 2_048 and at_cap.base == (0,) * 1_024
+    assert at_cap.act_word(at_cap.base, "+e1024")[-1] == 1
+    assert parse_group("Z^1024").name == "Z^1024"
+    for d in (1_025, 10**30):
+        for call in (lambda: integer_lattice(d), lambda: parse_group(f"Z^{d}")):
+            with pytest.raises(CapacityError, match="^lattice dimension is capped at 1024$"):
+                call()
 
 
 @pytest.mark.parametrize("kind, field, cap", [("z-interval", None, 1_048_576), ("z-interval-span", GF2, 4_096)])

@@ -175,6 +175,40 @@ def test_labels_the_codec_cannot_vouch_for_have_no_keys(labels):
     assert _lamp_keys(labels) is None
 
 
+# Keys stand in for the lamplighter's label check (``linalg._label_images``),
+# so every label the codec vouches for must pass ``groups._lamp_valid``.
+MUTATIONS = [
+    lambda x: (x[0], True),  # a bool head
+    lambda x: ((False,) + x[0], x[1]),
+    lambda x: (x[0], np.int64(x[1])),
+    lambda x: (x[0], float(x[1])),
+    lambda x: (x[0][::-1], x[1]) if len(x[0]) > 1 else (x[0] * 2 + (0, 0), x[1]),  # unsorted or repeated lamps
+    lambda x: (list(x[0]), x[1]),
+    lambda x: (x[0], x[1], 0),
+    lambda x: (x[0] + (HI + 1,), x[1]),  # a lamp past the frame
+    lambda x: (x[1], x[1]),  # a Z^2 point
+]
+
+
+def _vouched(labels) -> bool:
+    """Whether ``labels`` get keys; if they do, each of them passes the lamplighter's ``validate``."""
+    keys = _lamp_keys(labels)
+    assert keys is None or all(map(groups._lamp_valid, labels))
+    return keys is not None
+
+
+def test_labels_with_keys_are_lamplighter_points():
+    rng = random.Random(59)
+    vouched = 0
+    for _ in range(1000):
+        labels = _lamp_labels(rng, LO, HI, rng.randint(1, 12))
+        if rng.random() < 0.7:
+            i = rng.randrange(len(labels))
+            labels[i] = rng.choice(MUTATIONS)(labels[i])
+        vouched += _vouched(labels)
+    assert 200 < vouched < 800
+
+
 # ---------------------------------------------------------------------------
 # relabels, sums and the cache, against the tuple-by-tuple path
 
@@ -321,3 +355,13 @@ FALLBACKS = {
 @pytest.mark.parametrize("name", sorted(FALLBACKS))
 def test_inputs_without_keys_give_the_tuple_paths_outcome(name, field):
     _check(lambda: FALLBACKS[name](field))
+
+
+@FIELDS
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_no_fallback_gives_keys_to_labels_that_are_no_lamplighter_points(name, field, monkeypatch):
+    # each labels list the codec meets, and the result's labels
+    monkeypatch.setattr(linalg, "_lamp_keys", lambda labels: _lamp_keys(labels) if _vouched(labels) else None)
+    got = _outcome(lambda: FALLBACKS[name](field))
+    if isinstance(got, LabeledSubspace) and _fresh(got) is not None:
+        assert _vouched(list(got.labels))

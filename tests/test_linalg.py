@@ -1,7 +1,7 @@
 import copy
 import dataclasses
-import functools
 import gc
+import json
 import math
 import pickle
 import random
@@ -32,8 +32,6 @@ from amenability import (
     integer_lattice,
     integer_line,
     lamplighter,
-    load_subspace,
-    dump_subspace,
     quotient_dim,
     rref,
     subspace_from_rows,
@@ -304,13 +302,6 @@ def test_zero_subspace_refuses_labels_that_are_not_iterable():
         zero_subspace(4, GF2)
 
 
-def test_load_subspace_refuses_text_that_is_not_json():
-    # a raw JSONDecodeError (or TypeError) once escaped
-    for text in ("x", "", "{", b"\xff", 5, None):
-        with pytest.raises(ShapeError, match="malformed subspace document"):
-            load_subspace(text)
-
-
 def test_floats_are_rejected_never_truncated():
     with pytest.raises(ShapeError):
         rref([[1.5, 2.0]], GF2)
@@ -559,21 +550,16 @@ def test_act_subspace_agrees_with_relabelling_from_scratch(field):
 
 
 @pytest.fixture
-def lamp_checks(monkeypatch):
-    """The points that the lamplighter's ``validate`` is called on, for actions and spans built after it."""
-    calls = []
-    valid = groups._lamp_valid
-
-    @functools.wraps(valid)  # the same module and name, so a span marked with it still pickles
-    def counted(x):
-        calls.append(x)
-        return valid(x)
-
-    monkeypatch.setattr(groups, "_lamp_valid", counted)
+def label_checks(monkeypatch):
+    """The points that the lamplighter's and Z's ``validate`` are called on, for actions built after it."""
+    calls = {"lamplighter": [], "Z": []}
+    for name, name_of in (("_lamp_valid", "lamplighter"), ("_z_valid", "Z")):
+        valid = getattr(groups, name)
+        monkeypatch.setattr(groups, name, lambda x, valid=valid, seen=calls[name_of]: seen.append(x) or valid(x))
     return calls
 
 
-def test_only_a_family_span_skips_the_label_check(lamp_checks):
+def test_only_labels_with_order_keys_skip_the_label_check(label_checks):
     L, Z = lamplighter(), integer_line()
     small = subspace_from_rows([[1, 1, 0]], (0, 1, 2), GF2)
     for g in L.generators:
@@ -588,19 +574,38 @@ def test_only_a_family_span_skips_the_label_check(lamp_checks):
     with pytest.raises(DomainError, match="is not a point of the lamplighter action"):
         subspace_report(act_subspace(interval, Z, "+1"), "b", L)
 
-    span = family_generate("lamp-span", 2, GF2)
-    lamp_checks.clear()
-    translate = act_subspace(span, L, "+1")
-    subspace_report(span, L.generators, L)
-    act_subspace(span, L, FormalCombination(GF2, {"b": 1, "+1": 1}))
-    assert lamp_checks == []  # a family span is never checked
-    for other in (translate, subspace_sum(span, translate), dataclasses.replace(span)):
-        for act in (lambda: act_subspace(other, L, "b"), lambda: subspace_report(other, L.generators, L)):
-            lamp_checks.clear()
-            act()
-            assert sorted(lamp_checks) == list(other.labels)  # each label checked once
+    # a z-interval span has no keys: each call checks each label once
+    for act in (lambda: act_subspace(interval, Z, "+1"), lambda: subspace_report(interval, Z.generators, Z)):
+        label_checks["Z"].clear()
+        act()
+        assert sorted(label_checks["Z"]) == list(interval.labels)
 
-    # an action with its own validate checks a family span once per call
+    span = family_generate("lamp-span", 2, GF2)
+    translate = act_subspace(span, L, "+1")
+    box = list(family_generate("lamp-box", 2))
+    random.Random(3).shuffle(box)
+    rebuilt = subspace_from_rows([[t == 1 for _, t in box], [t == 2 for _, t in box]], box, GF2)
+    assert rebuilt == span
+    keyed = (span, translate, subspace_sum(span, translate), rebuilt, act_subspace(translate, L, ("b", "-1")))
+    for other in keyed:
+        assert other._keys is not None
+        for act in (
+            lambda: act_subspace(other, L, "b"),
+            lambda: act_subspace(other, L, ("+1",) * 40),  # heads leave the frame: the tuple path
+            lambda: act_subspace(other, L, FormalCombination(GF2, {"b": 1, "+1": 1})),
+            lambda: subspace_report(other, L.generators, L),
+        ):
+            label_checks["lamplighter"].clear()
+            act()
+            assert label_checks["lamplighter"] == []  # the keys vouch for every label
+    copy_ = dataclasses.replace(translate)
+    assert copy_._keys is None
+    for act in (lambda: act_subspace(copy_, L, "b"), lambda: subspace_report(copy_, L.generators, L)):
+        label_checks["lamplighter"].clear()
+        act()
+        assert sorted(label_checks["lamplighter"]) == list(copy_.labels)  # each label checked once per call
+
+    # an action with its own validate checks a keyed span once per call
     calls = []
     counted = GroupAction("counted", L.moves, L.inverses, lambda x: calls.append(x) or L.validate(x))
     G = act_subspace(act_subspace(span, counted, "+1"), counted, "b")
@@ -700,16 +705,17 @@ def test_paused_calls_on_many_threads_leave_the_collector_on():
     assert gc.isenabled()
 
 
-def test_a_family_span_survives_pickle_and_deepcopy_unchecked(lamp_checks):
+def test_a_family_span_survives_pickle_and_deepcopy_unchecked(label_checks):
     assert [f.name for f in dataclasses.fields(LabeledSubspace)] == ["field", "labels", "basis"]
     L = lamplighter()
     for field in (GF2, RATIONALS):
         span = family_generate("lamp-span", 2, field)
         for again in (pickle.loads(pickle.dumps(span)), copy.deepcopy(span)):
             assert again == span and repr(again) == repr(span)
+            assert np.array_equal(again._keys, span._keys)
             assert act_subspace(again, L, "b") == act_subspace(span, L, "b")
             assert subspace_report(again, L.generators, L) == subspace_report(span, L.generators, L)
-    assert lamp_checks == []  # no copy of a family span is checked
+    assert label_checks["lamplighter"] == []  # no copy of a family span is checked
 
 
 def test_formal_combination_action():
@@ -734,20 +740,25 @@ def test_formal_combination_can_kill_dimension():
 # JSON round trips
 
 
+def _round_trip(space):
+    """``space`` written as JSON text and read back."""
+    return subspace_from_json(json.loads(json.dumps(subspace_to_json(space))))
+
+
 def test_json_round_trip_rational():
     F = subspace_from_rows([(Fraction(1, 2), 1, 0), (0, 0, 3)], [1, 2, 3], RATIONALS)
-    assert load_subspace(dump_subspace(F)) == F
+    assert _round_trip(F) == F
 
 
 def test_json_round_trip_gf():
     F = subspace_from_rows([(1, 2), (0, 3)], ["a", "b"], GF5)
-    assert load_subspace(dump_subspace(F)) == F
+    assert _round_trip(F) == F
 
 
 def test_json_round_trip_tuple_labels():
     box = family_generate("lamp-box", 2)
     F = subspace_from_rows([[1] * len(box)], list(box), GF2)
-    G = load_subspace(dump_subspace(F))
+    G = _round_trip(F)
     assert G.dim == 1
     assert [tuple(lbl) for lbl in G.labels] == [tuple(lbl) for lbl in F.labels]
 
@@ -765,7 +776,7 @@ def test_json_scalars_are_read_exactly_or_refused(char, value):
 
 def test_json_rationals_are_num_den_strings():
     F = subspace_from_rows([(2, 1)], ["a", "b"], RATIONALS)
-    doc = dump_subspace(F)
+    doc = json.dumps(subspace_to_json(F))
     assert '"1/2"' in doc and '"1/1"' in doc
 
 

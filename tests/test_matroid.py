@@ -602,3 +602,22 @@ def test_is_basis_refuses_unhashable_labels():
     assert is_basis(M, [0, 1])
     with pytest.raises(DomainError, match=r"label \[0\] is not a coordinate"):
         is_basis(M, [[0], [1]])
+
+
+# a non-iterable S or T once raised a raw TypeError ('int' object is not iterable)
+NOT_ITERABLE = {
+    "is_independent": lambda E, F: is_independent(E, 5),
+    "is_basis": lambda E, F: is_basis(E, 5),
+    "basis_extend": lambda E, F: basis_extend(E, F, 5),
+    "basis_restrict": lambda E, F: basis_restrict(E, F, None),
+    "basis_exchange-S": lambda E, F: basis_exchange(E, F, 5, initial_basis(F), 1),
+    "basis_exchange-T": lambda E, F: basis_exchange(E, F, initial_basis(E), 5, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ITERABLE))
+def test_a_basis_that_is_not_iterable_is_a_shape_error(name):
+    E = make([(1, 1, 0)], [1, 2, 3])
+    F = make([(1, 0, 0), (0, 1, 0)], [1, 2, 3])
+    with pytest.raises(ShapeError, match="labels must be an iterable of points, not (5|None)$"):
+        NOT_ITERABLE[name](E, F)
